@@ -2,26 +2,29 @@
 //! layer.
 //!
 //! Wraps the real pipeline in `velus_testkit::chaos::ChaosCompiler`
-//! (seeded panics, transient failures, cancellable delays), measures
-//! the service's fault-free capacity, then drives an **open-loop**
-//! arrival process at 2× that capacity — arrivals are not gated on
-//! completions, so the admission queue genuinely overloads — and
-//! checks the robustness invariants:
+//! (seeded panics, cancellable delays) over a corpus in which every
+//! eighth program has a type error, measures the service's fault-free
+//! capacity, then drives an **open-loop** arrival process at 2× that
+//! capacity — arrivals are not gated on completions, so the admission
+//! queue genuinely overloads. The corpus is sent in two such waves, the
+//! second once the first has resolved, and the run checks the
+//! robustness invariants:
 //!
 //! * zero worker deaths (panics are contained per request);
 //! * zero lost requests: every submission resolves, and
 //!   `ok + failed + shed == submitted`;
-//! * every shed / timed-out / quarantined request carries its stable
-//!   `E08xx` code;
-//! * ≥ 90 % of injected transient failures succeed on retry.
+//! * every shed / timed-out request carries its stable `E08xx` code;
+//! * the negative cache holds: the compiler sees each failing or
+//!   panicking input at most once per content, so the second wave
+//!   replays the first wave's failures without compiling them;
+//! * the final drain leaves nothing outstanding.
 //!
-//! Reports shed rate, retry success, and p50/p99/p999 latency of the
-//! admitted requests, then drains the service.
+//! Reports shed rate and p50/p99/p999 latency of the admitted requests,
+//! then drains the service.
 //!
 //! ```text
 //! cargo run --release -p velus-bench --bin chaos -- \
-//!     [--seeds N] [--workers W] [--retries R] [--queue-cap Q] \
-//!     [--chaos-seed S] [--json]
+//!     [--seeds N] [--workers W] [--queue-cap Q] [--chaos-seed S] [--json]
 //! ```
 //!
 //! With `--json`, stdout is exactly one JSON object (CI pipes it
@@ -35,38 +38,50 @@ use velus::service::{service, ServiceConfig};
 use velus::{CompileRequest, PipelineCompiler};
 use velus_bench::{parse_bool_flag, parse_flag};
 use velus_obs::Histogram;
-use velus_server::{AdmissionConfig, CompileService, RetryPolicy, ServiceError, Submission};
+use velus_server::{CompileService, ServiceError, Submission};
 use velus_testkit::chaos::{ChaosCompiler, ChaosConfig};
 
 type ChaosService = CompileService<ChaosCompiler<PipelineCompiler>>;
 
 /// Distinct tiny programs: a unique constant per request keeps every
-/// content digest (cache key and chaos fault roll) distinct.
+/// content digest (cache key and chaos fault roll) distinct. Every
+/// eighth program compares an `int` with a `bool` and fails to compile.
 fn corpus(n: usize) -> Vec<CompileRequest> {
     (0..n)
         .map(|k| {
+            let broken = k % 8 == 7;
+            let bound = if broken {
+                "true".to_owned()
+            } else {
+                (1000 + k).to_string()
+            };
             let source = format!(
                 "node main(x: int) returns (y: int)\n\
                  var acc: int;\n\
                  let\n\
                    acc = ({k} fby acc) + x;\n\
-                   y = if acc > {} then 0 else acc;\n\
-                 tel\n",
-                1000 + k
+                   y = if acc > {bound} then 0 else acc;\n\
+                 tel\n"
             );
-            CompileRequest::new(format!("chaos{k:03}"), source)
+            let name = if broken { "broken" } else { "chaos" };
+            CompileRequest::new(format!("{name}{k:03}"), source)
         })
         .collect()
 }
 
-/// Fault-free capacity: cold-compile the corpus on a plain service and
-/// take its throughput.
+/// Fault-free capacity: cold-compile the well-typed part of the corpus
+/// on a plain service and take its throughput.
 fn measure_capacity(reqs: &[CompileRequest], workers: usize) -> f64 {
     let svc = service(ServiceConfig {
         workers,
         ..Default::default()
     });
-    let batch = svc.compile_batch(reqs.to_vec());
+    let clean: Vec<CompileRequest> = reqs
+        .iter()
+        .filter(|r| r.name.starts_with("chaos"))
+        .cloned()
+        .collect();
+    let batch = svc.compile_batch(clean);
     assert_eq!(
         batch.err_count(),
         0,
@@ -80,7 +95,6 @@ struct Outcome {
     shed: usize,
     draining: usize,
     deadline: usize,
-    quarantined: usize,
     panicked: usize,
     compile_failed: usize,
     lost: usize,
@@ -88,72 +102,96 @@ struct Outcome {
     latencies: Histogram,
 }
 
-fn classify(submissions: Vec<Submission<ChaosCompiler<PipelineCompiler>>>) -> Outcome {
-    let mut out = Outcome {
-        ok: 0,
-        shed: 0,
-        draining: 0,
-        deadline: 0,
-        quarantined: 0,
-        panicked: 0,
-        compile_failed: 0,
-        lost: 0,
-        uncoded: 0,
-        latencies: Histogram::new(),
-    };
-    for sub in submissions {
-        let report = sub.wait();
-        match &report.result {
-            Ok(_) => {
-                out.ok += 1;
-                out.latencies.record(report.latency.as_nanos() as u64);
-            }
-            Err(err) => {
-                let code = err.failure_report().primary_code();
-                match err {
-                    ServiceError::Overloaded { .. } => {
-                        out.shed += 1;
-                        if code != Some("E0801") {
-                            out.uncoded += 1;
-                        }
-                    }
-                    ServiceError::Draining => {
-                        out.draining += 1;
-                        if code != Some("E0805") {
-                            out.uncoded += 1;
-                        }
-                    }
-                    ServiceError::DeadlineExceeded => {
-                        out.deadline += 1;
-                        if code != Some("E0802") {
-                            out.uncoded += 1;
-                        }
-                    }
-                    ServiceError::Quarantined => {
-                        out.quarantined += 1;
-                        if code != Some("E0803") {
-                            out.uncoded += 1;
-                        }
-                    }
-                    ServiceError::Panic(_) => out.panicked += 1,
-                    ServiceError::Compile { .. } | ServiceError::MissingArtifact(_) => {
-                        out.compile_failed += 1;
-                        if code.is_none() {
-                            out.uncoded += 1;
-                        }
-                    }
-                    ServiceError::Lost => out.lost += 1,
+impl Outcome {
+    fn new() -> Outcome {
+        Outcome {
+            ok: 0,
+            shed: 0,
+            draining: 0,
+            deadline: 0,
+            panicked: 0,
+            compile_failed: 0,
+            lost: 0,
+            uncoded: 0,
+            latencies: Histogram::new(),
+        }
+    }
+
+    /// Waits for every submission and tallies its outcome.
+    fn classify(&mut self, submissions: Vec<Submission<ChaosCompiler<PipelineCompiler>>>) {
+        for sub in submissions {
+            let report = sub.wait();
+            let Err(err) = &report.result else {
+                self.ok += 1;
+                self.latencies.record(report.latency.as_nanos() as u64);
+                continue;
+            };
+            let code = err.failure_report().primary_code();
+            let expected = match err {
+                ServiceError::Overloaded { .. } => {
+                    self.shed += 1;
+                    Some("E0801")
                 }
+                ServiceError::Draining => {
+                    self.draining += 1;
+                    Some("E0805")
+                }
+                ServiceError::DeadlineExceeded => {
+                    self.deadline += 1;
+                    Some("E0802")
+                }
+                ServiceError::Panic(_) => {
+                    self.panicked += 1;
+                    continue;
+                }
+                ServiceError::Compile { .. } | ServiceError::MissingArtifact(_) => {
+                    self.compile_failed += 1;
+                    if code.is_none() {
+                        self.uncoded += 1;
+                    }
+                    continue;
+                }
+                ServiceError::Lost => {
+                    self.lost += 1;
+                    continue;
+                }
+            };
+            if code != expected {
+                self.uncoded += 1;
             }
         }
     }
-    out
+}
+
+/// One open-loop wave: submits every request on schedule regardless of
+/// completions, then waits for all of them. Returns how many were
+/// admitted.
+fn wave(
+    svc: &ChaosService,
+    reqs: &[CompileRequest],
+    interarrival: Duration,
+    out: &mut Outcome,
+) -> usize {
+    let started = Instant::now();
+    let mut submissions = Vec::with_capacity(reqs.len());
+    let mut admitted = 0usize;
+    for (k, req) in reqs.iter().enumerate() {
+        let due = started + interarrival * (k as u32);
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        let sub = svc.submit(req.clone());
+        admitted += usize::from(sub.admitted());
+        submissions.push(sub);
+    }
+    out.classify(submissions);
+    admitted
 }
 
 fn main() -> ExitCode {
     let seeds = parse_flag("--seeds", 40);
     let workers = parse_flag("--workers", 4);
-    let retries = parse_flag("--retries", 2) as u32;
     let queue_cap = parse_flag("--queue-cap", workers * 4);
     let chaos_seed = parse_flag("--chaos-seed", 1) as u64;
     let json = parse_bool_flag("--json");
@@ -167,15 +205,14 @@ fn main() -> ExitCode {
     let capacity = measure_capacity(&reqs, workers);
     let target = 2.0 * capacity;
     let interarrival = Duration::from_secs_f64(1.0 / target.max(1.0));
-    note!(
-        "chaos bench: {seeds} requests, {workers} workers, retry budget {retries}, queue cap {queue_cap}"
-    );
+    note!("chaos bench: {seeds} requests x 2 waves, {workers} workers, queue cap {queue_cap}");
     note!("fault-free capacity {capacity:.1} prog/s -> open-loop target {target:.1} prog/s");
 
     let compiler = ChaosCompiler::new(
         PipelineCompiler,
         ChaosConfig {
             seed: chaos_seed,
+            panic_per_mille: 100,
             ..Default::default()
         },
     );
@@ -183,66 +220,49 @@ fn main() -> ExitCode {
         compiler,
         ServiceConfig {
             workers,
-            admission: AdmissionConfig {
-                queue_cap: Some(queue_cap),
-                cost_budget_ms: None,
-            },
-            retry: RetryPolicy::with_budget(retries),
+            queue_cap: Some(queue_cap),
             ..Default::default()
         },
     );
 
-    // Open loop: submit on schedule regardless of completions.
+    // Two waves of the same corpus: the second finds the first wave's
+    // artifacts and failures in the cache (except for shed requests,
+    // which never ran). No request of a wave overlaps its repeat, so a
+    // failing input compiles at most once.
     let started = Instant::now();
-    let mut submissions = Vec::with_capacity(seeds);
-    let mut admitted = 0usize;
-    for (k, req) in reqs.into_iter().enumerate() {
-        let due = started + interarrival * (k as u32);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let sub = svc.submit(req);
-        admitted += usize::from(sub.admitted());
-        submissions.push(sub);
-    }
-    let out = classify(submissions);
+    let mut out = Outcome::new();
+    let admitted = (0..2)
+        .map(|_| wave(&svc, &reqs, interarrival, &mut out))
+        .sum::<usize>();
     let drain = svc.drain(Duration::from_secs(30));
     let wall = started.elapsed();
     let chaos = svc.compiler().chaos_stats();
     let stats = svc.stats();
     let dead = svc.dead_workers();
 
-    let submitted = seeds;
+    let submitted = 2 * seeds;
     let shed_total = out.shed + out.draining;
-    let failed = out.deadline + out.quarantined + out.panicked + out.compile_failed + out.lost;
+    let failed = out.deadline + out.panicked + out.compile_failed + out.lost;
     let accounted = out.ok + shed_total + failed;
     let shed_rate = shed_total as f64 / submitted as f64;
-    let retry_success = if chaos.injected_transients == 0 {
-        1.0
-    } else {
-        chaos.recovered_transients as f64 / chaos.injected_transients as f64
-    };
     let p = |pct: f64| Duration::from_nanos(out.latencies.percentile(pct));
 
     note!(
         "\nsubmitted {submitted}  admitted {admitted}  ok {}  shed {shed_total} ({:.0}%)  \
-         panicked {}  quarantined {}  deadline {}  compile-failed {}  lost {}",
+         panicked {}  deadline {}  compile-failed {}  lost {}",
         out.ok,
         shed_rate * 100.0,
         out.panicked,
-        out.quarantined,
         out.deadline,
         out.compile_failed,
         out.lost
     );
     note!(
-        "injected: panics {} transients {} (recovered {} -> {:.0}% retry success) delays {}",
+        "injected: panics {} delays {}; failing inputs {} (recompiled {})",
         chaos.injected_panics,
-        chaos.injected_transients,
-        chaos.recovered_transients,
-        retry_success * 100.0,
-        chaos.injected_delays
+        chaos.injected_delays,
+        chaos.failing_inputs,
+        chaos.repeat_failures
     );
     note!(
         "latency (admitted, successful): p50 {:.2?}  p99 {:.2?}  p999 {:.2?}",
@@ -252,12 +272,9 @@ fn main() -> ExitCode {
     );
     note!("{drain}  wall {wall:.2?}  dead workers {dead}");
     note!(
-        "service counters: shed {}  retries {}/{}  quarantine {} held / {} hits  drains {}",
+        "service counters: shed {}  cache hits {}  drains {}",
         stats.shed,
-        stats.retries_succeeded,
-        stats.retries_attempted,
-        stats.quarantined,
-        stats.quarantine_hits,
+        stats.cache_hits,
         stats.drains
     );
 
@@ -281,12 +298,10 @@ fn main() -> ExitCode {
             out.uncoded
         ));
     }
-    if retry_success < 0.9 {
+    if chaos.repeat_failures != 0 {
         violations.push(format!(
-            "retry success {:.0}% < 90% ({}/{} transients recovered)",
-            retry_success * 100.0,
-            chaos.recovered_transients,
-            chaos.injected_transients
+            "{} failing input(s) reached the compiler again instead of replaying from the cache",
+            chaos.repeat_failures
         ));
     }
     if drain.outstanding != 0 {
@@ -300,11 +315,10 @@ fn main() -> ExitCode {
         println!(
             concat!(
                 "{{\"submitted\": {}, \"admitted\": {}, \"ok\": {}, \"shed\": {}, ",
-                "\"panicked\": {}, \"quarantined\": {}, \"deadline_exceeded\": {}, ",
+                "\"panicked\": {}, \"deadline_exceeded\": {}, ",
                 "\"compile_failed\": {}, \"lost\": {}, \"dead_workers\": {}, ",
-                "\"shed_rate\": {:.4}, \"retry_success\": {:.4}, ",
-                "\"injected_panics\": {}, \"injected_transients\": {}, ",
-                "\"recovered_transients\": {}, \"injected_delays\": {}, ",
+                "\"shed_rate\": {:.4}, \"injected_panics\": {}, \"injected_delays\": {}, ",
+                "\"failing_inputs\": {}, \"repeat_failures\": {}, ",
                 "\"capacity_prog_per_s\": {:.2}, \"target_prog_per_s\": {:.2}, ",
                 "\"p50_secs\": {:.6}, \"p99_secs\": {:.6}, \"p999_secs\": {:.6}, ",
                 "\"drain_cancelled\": {}, \"drain_secs\": {:.6}, \"violations\": {}}}"
@@ -314,17 +328,15 @@ fn main() -> ExitCode {
             out.ok,
             shed_total,
             out.panicked,
-            out.quarantined,
             out.deadline,
             out.compile_failed,
             out.lost,
             dead,
             shed_rate,
-            retry_success,
             chaos.injected_panics,
-            chaos.injected_transients,
-            chaos.recovered_transients,
             chaos.injected_delays,
+            chaos.failing_inputs,
+            chaos.repeat_failures,
             capacity,
             target,
             p(50.0).as_secs_f64(),

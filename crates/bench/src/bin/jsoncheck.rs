@@ -1,8 +1,8 @@
 //! `jsoncheck` — reads stdin, asserts it is one well-formed JSON value.
 //!
 //! The CI pipes the CLI's `--error-format json` and `--emit report`
-//! outputs through this (the same mini checker the pipeline bench's
-//! `--smoke` gate uses), so a malformed diagnostics document fails the
+//! outputs through this (the workspace's one JSON reader,
+//! `velus_testkit::json`), so a malformed diagnostics document fails the
 //! build even though the producing `velus` invocation exits nonzero by
 //! design.
 
@@ -19,8 +19,8 @@ fn main() -> ExitCode {
         eprintln!("jsoncheck: empty input (expected one JSON value)");
         return ExitCode::FAILURE;
     }
-    match velus_bench::json::check(input.trim()) {
-        Ok(()) => {
+    match velus_testkit::json::parse(input.trim()) {
+        Ok(_) => {
             println!("json ok ({} bytes)", input.len());
             ExitCode::SUCCESS
         }

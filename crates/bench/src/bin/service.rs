@@ -82,7 +82,6 @@ fn main() {
     for &workers in &worker_counts {
         let svc = service(ServiceConfig {
             workers,
-            caching: true,
             ..Default::default()
         });
         let cold = svc.compile_batch(requests.clone());
@@ -177,7 +176,6 @@ fn artifact_dimension(base: &[CompileRequest], workers: usize) {
             .collect();
         let svc = service(ServiceConfig {
             workers,
-            caching: true,
             ..Default::default()
         });
         let cold = svc.compile_batch(requests.clone());

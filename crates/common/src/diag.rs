@@ -75,10 +75,7 @@ impl Code {
     /// their own — overload shedding ([`codes::E0801`]), an expired
     /// deadline ([`codes::E0802`]), a worker that missed its shutdown
     /// ack ([`codes::E0804`]), and a draining service
-    /// ([`codes::E0805`]). Quarantine ([`codes::E0803`]) is *not*
-    /// transient: the input earned its spot by panicking repeatedly,
-    /// and resubmitting it is rejected the same way until the
-    /// quarantine entry ages out.
+    /// ([`codes::E0805`]).
     pub fn retry_class(self) -> RetryClass {
         match self.id {
             "E0000" | "E0801" | "E0802" | "E0804" | "E0805" => RetryClass::Transient,
@@ -95,7 +92,7 @@ pub enum RetryClass {
     /// Deterministic: the failure is inherent to the source program.
     Source,
     /// Environmental: a retry of the identical request may succeed
-    /// (worker panic, lost result, uncategorized internal error).
+    /// (overload, deadline, drain, uncategorized internal error).
     Transient,
 }
 
@@ -309,17 +306,15 @@ pub mod codes {
         E0703 = ("E0703", "analysis failure");
 
         // -- serving layer ---------------------------------------------
-        /// The service shed the request: its admission queue (or cost
-        /// budget) was full. Transient — retry after backing off.
+        /// The service shed the request: its admission queue was full.
+        /// Transient — retry after backing off.
         E0801 = ("E0801", "service overloaded");
         /// The request's deadline expired before compilation finished
         /// (in queue or at a pass boundary). Transient — the same input
         /// can succeed on a less loaded service.
         E0802 = ("E0802", "deadline exceeded");
-        /// The input's digest is quarantined after repeated panics;
-        /// the request was rejected without compiling. Source-classed:
-        /// resubmitting the same input keeps failing.
-        E0803 = ("E0803", "input quarantined");
+        // E0803 is retired and must not be reused: it meant "input
+        // quarantined", which the service's failure cache replaced.
         /// A worker thread failed to acknowledge shutdown within the
         /// configured timeout (it is likely wedged in a job).
         E0804 = ("E0804", "worker shutdown timeout");
@@ -1061,10 +1056,9 @@ mod tests {
         assert_eq!(codes::E0000.retry_class(), RetryClass::Transient);
         assert_eq!(codes::retry_class_of("E0202"), RetryClass::Source);
         assert_eq!(codes::retry_class_of("panic"), RetryClass::Transient);
-        // The serving-layer conditions: environmental except quarantine.
+        // The serving-layer conditions are environmental.
         assert_eq!(codes::E0801.retry_class(), RetryClass::Transient);
         assert_eq!(codes::E0802.retry_class(), RetryClass::Transient);
-        assert_eq!(codes::E0803.retry_class(), RetryClass::Source);
         assert_eq!(codes::E0804.retry_class(), RetryClass::Transient);
         assert_eq!(codes::E0805.retry_class(), RetryClass::Transient);
         assert_eq!(RetryClass::Source.label(), "source");

@@ -10,11 +10,10 @@
 //! velus lint    FILE [--node NAME]                        static-analysis lint findings
 //! velus dump    FILE [--node NAME] [--ir nlustre|snlustre|obc|obc-fused]
 //! velus batch   DIR [--workers N] [--passes N] [--stdio]
-//!               [--cache-cap N] [--sched fifo|cost]
-//!               [--emit KINDS] [--trace-out FILE]
+//!               [--cache-cap N] [--emit KINDS] [--trace-out FILE]
 //!               [--metrics-out FILE] [--slow-trace-ms N]
 //!               [--deadline-ms N] [--queue-cap N]
-//!               [--retries N] [--drain-ms N]              batch-compile a directory
+//!               [--drain-ms N]                            batch-compile a directory
 //! ```
 //!
 //! `--emit KINDS` is a comma-separated artifact set: `c`,
@@ -45,25 +44,24 @@
 //! and prints a per-file table plus service statistics (including
 //! per-artifact-kind rows). With two or more passes (the default), later
 //! passes exercise the per-kind artifact cache and every artifact is
-//! checked byte-for-byte against the cold pass. `--cache-cap N` bounds
+//! checked byte-for-byte against the cold pass. A program that fails to
+//! compile fails once: the cache keeps its failure, and later passes
+//! replay the same error without recompiling. `--cache-cap N` bounds
 //! the artifact cache to N entries (LRU eviction; evicted programs
-//! recompile and re-verify on later passes) and `--sched cost` submits
-//! each pass longest-predicted-first instead of FIFO, shortening the
-//! makespan of skewed batches.
+//! recompile and re-verify on later passes).
 //!
 //! The robustness flags drive the serving layer's fault tolerance:
 //! `--deadline-ms N` gives every request an N ms deadline (expiry —
 //! while queued or at a pass boundary — fails that request with the
 //! coded `E0802`); `--queue-cap N` bounds admission (excess requests
-//! are shed with `E0801` instead of queueing unboundedly); `--retries
-//! N` re-runs transiently-failed requests up to N times with
-//! decorrelated-jitter backoff; `--drain-ms N` gracefully drains the
-//! service after the batch (admission closes, stragglers are cancelled
-//! cooperatively by the deadline) and prints the drain report.
+//! are shed with `E0801` instead of queueing unboundedly); `--drain-ms
+//! N` gracefully drains the service after the batch (admission closes,
+//! stragglers are cancelled cooperatively by the deadline) and prints
+//! the drain report.
 //!
 //! The observability flags thread the batch through `velus-obs`:
 //! `--trace-out FILE` records every request as a span tree (queue wait,
-//! scheduling, cache probe, each pipeline pass, artifact handling) and
+//! cache probe, each pipeline pass, artifact handling) and
 //! writes Chrome trace-event JSON loadable in Perfetto;
 //! `--metrics-out FILE` writes the closing statistics snapshot in the
 //! Prometheus text format; `--slow-trace-ms N` additionally retains the
@@ -91,14 +89,12 @@ struct Args {
     workers: usize,
     passes: usize,
     cache_cap: Option<usize>,
-    sched: String,
     error_format: ErrorFormat,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     slow_trace_ms: Option<u64>,
     deadline_ms: Option<u64>,
     queue_cap: Option<usize>,
-    retries: u32,
     drain_ms: Option<u64>,
 }
 
@@ -127,14 +123,12 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         passes: 2,
         cache_cap: None,
-        sched: "fifo".to_owned(),
         error_format: ErrorFormat::Human,
         trace_out: None,
         metrics_out: None,
         slow_trace_ms: None,
         deadline_ms: None,
         queue_cap: None,
-        retries: 0,
         drain_ms: None,
     };
     while let Some(a) = args.next() {
@@ -175,7 +169,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "invalid --cache-cap value")?,
                 )
             }
-            "--sched" => parsed.sched = args.next().ok_or("missing value for --sched")?,
             "--trace-out" => {
                 parsed.trace_out = Some(args.next().ok_or("missing value for --trace-out")?)
             }
@@ -206,13 +199,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "invalid --queue-cap value")?,
                 )
             }
-            "--retries" => {
-                parsed.retries = args
-                    .next()
-                    .ok_or("missing value for --retries")?
-                    .parse()
-                    .map_err(|_| "invalid --retries value")?
-            }
             "--drain-ms" => {
                 parsed.drain_ms = Some(
                     args.next()
@@ -240,9 +226,9 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: velus <compile|check|run|validate|wcet|lint|dump> FILE [options]
-       velus batch DIR [--workers N] [--passes N] [--stdio] [--cache-cap N] [--sched fifo|cost] [--emit KINDS]
+       velus batch DIR [--workers N] [--passes N] [--stdio] [--cache-cap N] [--emit KINDS]
                        [--trace-out FILE] [--metrics-out FILE] [--slow-trace-ms N]
-                       [--deadline-ms N] [--queue-cap N] [--retries N] [--drain-ms N]
+                       [--deadline-ms N] [--queue-cap N] [--drain-ms N]
 options: --node NAME, -o OUT.c, --steps N, --stdio, --model cc|gcc|gcci,
          --ir nlustre|snlustre|obc|obc-fused, --error-format human|json,
          --emit c,wcet[:cc|gcc|gcci],baseline,nlustre,snlustre,obc,obc-fused,report,lint,
@@ -250,7 +236,6 @@ options: --node NAME, -o OUT.c, --steps N, --stdio, --model cc|gcc|gcci,
          --slow-trace-ms N (flight-record requests slower than N ms),
          --deadline-ms N (per-request deadline, E0802 on expiry),
          --queue-cap N (admission bound, E0801 when shed),
-         --retries N (transient-failure retry budget),
          --drain-ms N (graceful drain after the batch)"
         .to_owned()
 }
@@ -388,11 +373,8 @@ fn run_batch(args: &Args) -> Result<(), String> {
     // --cache-cap bounds the artifact cache (entries); evictions are
     // reported in the closing statistics table.
     config.cache.max_entries = args.cache_cap;
-    config.schedule = args.sched.parse()?;
-    // Robustness knobs: a bounded admission queue sheds excess load
-    // with E0801, and transient failures are retried up to the budget.
-    config.admission.queue_cap = args.queue_cap;
-    config.retry = velus_server::RetryPolicy::with_budget(args.retries);
+    // A bounded admission queue sheds excess load with E0801.
+    config.queue_cap = args.queue_cap;
     // Any observability flag turns the tracing recorder on; without
     // them the batch runs entirely trace-free.
     let tracing = args.trace_out.is_some() || args.slow_trace_ms.is_some();
@@ -417,11 +399,10 @@ fn run_batch(args: &Args) -> Result<(), String> {
     }
     let emit_list: Vec<String> = kinds.iter().map(|k| k.to_string()).collect();
     say!(
-        "batch: {} programs from {dir}, {} workers, {} pass(es), {} scheduling, emit {}{}",
+        "batch: {} programs from {dir}, {} workers, {} pass(es), emit {}{}",
         requests.len(),
         svc.worker_count(),
         args.passes,
-        args.sched,
         emit_list.join(","),
         match args.cache_cap {
             Some(cap) => format!(", cache cap {cap}"),
@@ -502,8 +483,8 @@ fn run_batch(args: &Args) -> Result<(), String> {
                 Err(ServiceError::Compile { report, .. }) => match args.error_format {
                     ErrorFormat::Human => eprintln!("{}: {report}", item.name),
                     // One attributed object per failing program, on the
-                    // cold pass only (failures are never cached, so
-                    // later passes would just duplicate the stream).
+                    // cold pass only (later passes replay the cached
+                    // failure and would just duplicate the stream).
                     ErrorFormat::Json if pass == 0 => {
                         let body = report.render_json();
                         println!(
@@ -521,7 +502,10 @@ fn run_batch(args: &Args) -> Result<(), String> {
             }
         }
         if pass > 0 && report.hit_count() == report.items.len() {
-            say!("warm pass: every artifact served from cache, byte-identical output");
+            match report.err_count() {
+                0 => say!("warm pass: every artifact served from cache, byte-identical output"),
+                n => say!("warm pass: every request served from cache ({n} failure(s) replayed)"),
+            }
         }
     }
 

@@ -82,48 +82,23 @@ pub struct PipelineCompiler;
 
 impl Compiler for PipelineCompiler {
     type Artifact = ServiceArtifact;
-    type Error = VelusError;
 
+    /// The staged pipeline with per-stage instrumentation. The token is
+    /// checked at every pass boundary, so an expired deadline or a
+    /// draining service stops the pipeline between passes and surfaces
+    /// the coded condition (`E0802`/`E0805`). Failures leave the
+    /// pipeline already structured ([`VelusError::Diag`], coded and
+    /// stage-tagged with spans resolved); flattening against the request
+    /// source yields the service's [`FailureReport`].
     fn compile(
         &self,
         req: &CompileRequest,
         kinds: &[ArtifactKind],
-    ) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
-        compile_impl(req, kinds, None)
-    }
-
-    /// The cooperative entry point the service uses: the token is
-    /// checked at every pass boundary, so an expired deadline or a
-    /// draining service stops the pipeline between passes and surfaces
-    /// the coded condition (`E0802`/`E0805`) as a structured failure.
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
         cancel: &velus_server::CancelToken,
-    ) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
-        compile_impl(req, kinds, Some(cancel))
-    }
-
-    /// Failures leave the staged pipeline already structured
-    /// ([`VelusError::Diag`], coded and stage-tagged with spans
-    /// resolved); flattening against the request source yields the
-    /// service's [`FailureReport`].
-    fn failure_report(&self, req: &CompileRequest, err: &VelusError) -> FailureReport {
-        FailureReport::from_diagnostics(&err.to_diagnostics(&SpanMap::new()), &req.source)
-    }
-
-    /// Pre-scan cost estimate: source bytes plus a weighted count of
-    /// `node` keywords. Pipeline cost grows superlinearly with the node
-    /// count (each node is scheduled, translated, fused, and checked
-    /// individually), so node-heavy sources must outrank byte-heavy
-    /// ones; the weight is a rough per-node fixed cost in source-byte
-    /// units. A text scan, not a parse — it runs on every request of a
-    /// batch before any compilation starts — but it does honor the
-    /// lexer's comment rules: `node` inside `(* … *)` or `--` comments
-    /// is not a node, and `node(` (no trailing whitespace) is.
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        req.source.len() as u64 + 512 * count_node_keywords(&req.source)
+    ) -> Result<CompileOutput<ServiceArtifact>, FailureReport> {
+        compile_impl(req, kinds, cancel).map_err(|err| {
+            FailureReport::from_diagnostics(&err.to_diagnostics(&SpanMap::new()), &req.source)
+        })
     }
 
     /// The byte cap weighs each kind by what it actually retains: the C
@@ -135,21 +110,24 @@ impl Compiler for PipelineCompiler {
     }
 }
 
-/// The shared body of `compile`/`compile_cancellable`: the staged
-/// pipeline with per-stage instrumentation, optionally cancellable at
-/// pass boundaries.
+/// The body of [`PipelineCompiler::compile`]: the staged pipeline with
+/// per-stage instrumentation, cancellable at pass boundaries.
 fn compile_impl(
     req: &CompileRequest,
     kinds: &[ArtifactKind],
-    cancel: Option<&velus_server::CancelToken>,
+    cancel: &velus_server::CancelToken,
 ) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
     let mut sink = ObsSink::default();
     let io = match req.options.io {
         IoMode::Volatile => TestIo::Volatile,
         IoMode::Stdio => TestIo::Stdio,
     };
-    let mut staged =
-        StagedPipeline::from_source_with(&req.source, req.root.as_deref(), &mut sink, cancel)?;
+    let mut staged = StagedPipeline::from_source_with(
+        &req.source,
+        req.root.as_deref(),
+        &mut sink,
+        Some(cancel),
+    )?;
     let artifacts = produce(&mut staged, kinds, io, &req.source)?;
     // Warnings ride the output instead of being dropped: the service
     // counts them (per lint code) and the batch CLI prints them. When
@@ -164,58 +142,6 @@ fn compile_impl(
         .collect();
     drop(staged);
     Ok(CompileOutput::new(artifacts, sink.samples).with_warnings(warnings))
-}
-
-/// Counts `node` keywords outside comments. Mirrors the lexer's comment
-/// rules (nestable `(* … *)`, `--` to end of line) and its identifier
-/// boundaries, without building tokens.
-fn count_node_keywords(source: &str) -> u64 {
-    let bytes = source.as_bytes();
-    let n = bytes.len();
-    let mut i = 0;
-    let mut count = 0u64;
-    while i < n {
-        let c = bytes[i];
-        // Line comment: skip to end of line.
-        if c == b'-' && i + 1 < n && bytes[i + 1] == b'-' {
-            while i < n && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
-        // Block comment, nestable. An unterminated comment swallows the
-        // rest of the source — same as the lexer (which then errors).
-        if c == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-            let mut depth = 1;
-            i += 2;
-            while i < n && depth > 0 {
-                if bytes[i] == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-                    depth += 1;
-                    i += 2;
-                } else if bytes[i] == b'*' && i + 1 < n && bytes[i + 1] == b')' {
-                    depth -= 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // An identifier-or-keyword word; count exact `node` matches.
-        if c.is_ascii_alphabetic() || c == b'_' {
-            let start = i;
-            i += 1;
-            while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            if &bytes[start..i] == b"node" {
-                count += 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-    count
 }
 
 /// The concrete service type for the Vélus pipeline.
@@ -240,7 +166,14 @@ pub use velus_server::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_server::{IrStageKind, ServiceConfig, Stage, WcetModelKind};
+    use velus_server::{CancelToken, IrStageKind, ServiceConfig, Stage, WcetModelKind};
+
+    fn compile(
+        req: &CompileRequest,
+        kinds: &[ArtifactKind],
+    ) -> Result<CompileOutput<ServiceArtifact>, FailureReport> {
+        PipelineCompiler.compile(req, kinds, &CancelToken::unbounded())
+    }
 
     const COUNTER: &str = "
         node counter(ini, inc: int; res: bool) returns (n: int)
@@ -251,12 +184,11 @@ mod tests {
 
     #[test]
     fn pipeline_compiler_reports_every_stage_for_c() {
-        let output = PipelineCompiler
-            .compile(
-                &CompileRequest::new("counter", COUNTER),
-                &[ArtifactKind::CCode],
-            )
-            .unwrap();
+        let output = compile(
+            &CompileRequest::new("counter", COUNTER),
+            &[ArtifactKind::CCode],
+        )
+        .unwrap();
         let reported: Vec<Stage> = output.samples.iter().map(|s| s.stage).collect();
         // Every main-chain stage runs for C; the off-chain analysis
         // stage does not (no lint artifact was requested).
@@ -273,9 +205,7 @@ mod tests {
     fn lint_requests_run_the_analysis_stage_and_surface_findings() {
         // `pre x` reaches the output: the initialization lint fires.
         let src = "node f(x: int) returns (y: int) let y = pre x; tel";
-        let output = PipelineCompiler
-            .compile(&CompileRequest::new("f", src), &[ArtifactKind::Lint])
-            .unwrap();
+        let output = compile(&CompileRequest::new("f", src), &[ArtifactKind::Lint]).unwrap();
         assert!(
             output.samples.iter().any(|s| s.stage == Stage::Analysis),
             "{:?}",
@@ -293,14 +223,13 @@ mod tests {
 
     #[test]
     fn wcet_only_compilation_skips_emission() {
-        let output = PipelineCompiler
-            .compile(
-                &CompileRequest::new("counter", COUNTER),
-                &[ArtifactKind::Wcet {
-                    model: WcetModelKind::CompCert,
-                }],
-            )
-            .unwrap();
+        let output = compile(
+            &CompileRequest::new("counter", COUNTER),
+            &[ArtifactKind::Wcet {
+                model: WcetModelKind::CompCert,
+            }],
+        )
+        .unwrap();
         assert!(output.samples.iter().all(|s| s.stage != Stage::Emit));
         assert!(output.artifacts[0].1.c_code().is_none());
     }
@@ -309,7 +238,6 @@ mod tests {
     fn io_mode_is_part_of_the_artifact() {
         let svc = service(ServiceConfig {
             workers: 1,
-            caching: true,
             ..Default::default()
         });
         let volatile = svc.compile_one(CompileRequest::new("c", COUNTER));
@@ -330,7 +258,6 @@ mod tests {
     fn compile_errors_surface_per_request() {
         let svc = service(ServiceConfig {
             workers: 2,
-            caching: true,
             ..Default::default()
         });
         let batch = svc.compile_batch(vec![
@@ -339,30 +266,6 @@ mod tests {
         ]);
         assert_eq!(batch.ok_count(), 1);
         assert!(batch.items[1].result.is_err());
-    }
-
-    #[test]
-    fn cost_hint_ignores_comments_and_finds_adjacent_keywords() {
-        let real = CompileRequest::new("r", "node f(x: int) returns (y: int) let y = x; tel");
-        let commented = CompileRequest::new(
-            "r",
-            "(* node node node (* node *) node *)\n-- node node\n\
-             node f(x: int) returns (y: int) let y = x; tel",
-        );
-        let hint = |req: &CompileRequest| PipelineCompiler.cost_hint(req) - req.source.len() as u64;
-        // Exactly one real `node` in both sources: equal node weight.
-        assert_eq!(hint(&real), 512);
-        assert_eq!(
-            hint(&commented),
-            512,
-            "commented-out keywords must not count"
-        );
-        // `node` is recognized by identifier boundary, not whitespace…
-        let tight = CompileRequest::new("r", "node(x)");
-        assert_eq!(hint(&tight), 512);
-        // …and `nodes`/`mynode` are different identifiers.
-        let lookalike = CompileRequest::new("r", "nodes mynode node_2");
-        assert_eq!(hint(&lookalike), 0);
     }
 
     #[test]
@@ -377,7 +280,7 @@ mod tests {
                 stage: IrStageKind::ObcFused,
             },
         ];
-        let artifacts = PipelineCompiler.compile(&req, &kinds).unwrap().artifacts;
+        let artifacts = compile(&req, &kinds).unwrap().artifacts;
         let bytes_of = |kind: &ArtifactKind| {
             artifacts
                 .iter()

@@ -1,8 +1,8 @@
 //! The observability substrate of the Vélus serving stack.
 //!
-//! Three dependency-free building blocks, usable by any crate in the
-//! workspace (and by the offline vendored build — nothing here touches
-//! the network or the allocator beyond plain `std` collections):
+//! Three building blocks, usable by any crate in the workspace, that
+//! depend only on `std` and the leaf crate `velus-common` (for the
+//! shared JSON string escaper):
 //!
 //! * [`hist`] — **mergeable log-linear histograms**: exact counts over
 //!   the full run, bounded memory, lock-free recording through

@@ -37,6 +37,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use velus_common::json_escape;
+
 /// How many over-threshold span trees the flight recorder keeps before
 /// it stops adding new ones (the slowest-N list is independent).
 const OVER_CAP: usize = 32;
@@ -524,22 +526,6 @@ pub struct TraceData {
     pub dropped: u64,
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_ts_us(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
@@ -581,7 +567,7 @@ impl TraceData {
                 EventKind::Enter => {
                     sep(&mut out);
                     out.push_str("{\"name\":\"");
-                    json_escape_into(&mut out, ev.name);
+                    out.push_str(&json_escape(ev.name));
                     let _ = write!(out, "\",\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":", ev.tid);
                     push_ts_us(&mut out, ev.ts_ns);
                     let _ = write!(
@@ -591,7 +577,7 @@ impl TraceData {
                     );
                     if let Some(arg) = &ev.arg {
                         out.push_str(",\"label\":\"");
-                        json_escape_into(&mut out, arg);
+                        out.push_str(&json_escape(arg));
                         out.push('"');
                     }
                     out.push_str("}}");
@@ -605,7 +591,7 @@ impl TraceData {
                 EventKind::Instant => {
                     sep(&mut out);
                     out.push_str("{\"name\":\"");
-                    json_escape_into(&mut out, ev.name);
+                    out.push_str(&json_escape(ev.name));
                     let _ = write!(
                         out,
                         "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":",
@@ -614,7 +600,7 @@ impl TraceData {
                     push_ts_us(&mut out, ev.ts_ns);
                     if let Some(arg) = &ev.arg {
                         out.push_str(",\"args\":{\"label\":\"");
-                        json_escape_into(&mut out, arg);
+                        out.push_str(&json_escape(arg));
                         out.push_str("\"}");
                     }
                     out.push('}');
@@ -622,7 +608,7 @@ impl TraceData {
                 EventKind::Complete { dur_ns } => {
                     sep(&mut out);
                     out.push_str("{\"name\":\"");
-                    json_escape_into(&mut out, ev.name);
+                    out.push_str(&json_escape(ev.name));
                     let _ = write!(
                         out,
                         "\",\"cat\":\"async\",\"ph\":\"b\",\"id\":{},\"pid\":1,\"tid\":{},\"ts\":",
@@ -632,7 +618,7 @@ impl TraceData {
                     out.push('}');
                     sep(&mut out);
                     out.push_str("{\"name\":\"");
-                    json_escape_into(&mut out, ev.name);
+                    out.push_str(&json_escape(ev.name));
                     let _ = write!(
                         out,
                         "\",\"cat\":\"async\",\"ph\":\"e\",\"id\":{},\"pid\":1,\"tid\":{},\"ts\":",

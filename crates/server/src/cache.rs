@@ -9,6 +9,14 @@
 //! a WCET request neither recomputes nor re-caches the C artifact, and
 //! each entry is weighed by its own kind's resident size.
 //!
+//! Compilation is a pure function of the key, so a **failed** compile is
+//! cached too: its [`CachedFailure`] sits under the same per-kind keys
+//! an artifact would, and a failing input compiles at most once while
+//! its entries stay cached. A failure is served again only to requests
+//! asking for every kind it failed for — a request for fewer kinds may
+//! still compile (the missing kind may be the one that failed), and when
+//! it does, its artifact replaces the failure entry.
+//!
 //! FNV-1a is fast but not collision-resistant, so every entry keeps the
 //! content it was stored under and a lookup **verifies the content on
 //! hit**: a digest collision degrades to a miss (and a recompile), never
@@ -33,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::{ArtifactKind, CompileRequest, IoMode};
+use crate::{ArtifactKind, CompileRequest, IoMode, ServiceError};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -96,13 +104,6 @@ impl CacheKey {
     /// A short hex rendering for logs.
     pub fn short(&self) -> String {
         format!("{:08x}", self.hi >> 32)
-    }
-
-    /// The digest folded to 64 bits — the per-request backoff RNG seed,
-    /// so retry jitter is deterministic per input yet decorrelated
-    /// across inputs.
-    pub(crate) fn seed(&self) -> u64 {
-        self.hi ^ self.lo
     }
 }
 
@@ -174,9 +175,40 @@ impl StoredContent {
     }
 }
 
+/// A failed compilation as the cache keeps it.
+#[derive(Debug)]
+pub struct CachedFailure {
+    /// The kinds the failed compilation was asked for. The failure is
+    /// replayed only to requests asking for all of them.
+    pub kinds: Vec<ArtifactKind>,
+    /// What the request failed with (a compile error or a contained
+    /// panic), replayed verbatim.
+    pub error: ServiceError,
+}
+
+/// What a cache entry holds: the artifact of a successful compile or
+/// the failure of an unsuccessful one.
+#[derive(Debug)]
+pub enum Cached<A> {
+    /// The shared artifact.
+    Artifact(Arc<A>),
+    /// The shared failure (one failure is stored under every kind it
+    /// failed for).
+    Failure(Arc<CachedFailure>),
+}
+
+impl<A> Clone for Cached<A> {
+    fn clone(&self) -> Cached<A> {
+        match self {
+            Cached::Artifact(a) => Cached::Artifact(Arc::clone(a)),
+            Cached::Failure(f) => Cached::Failure(Arc::clone(f)),
+        }
+    }
+}
+
 struct Entry<A> {
     stored: StoredContent,
-    artifact: Arc<A>,
+    value: Cached<A>,
     weight: usize,
     tick: u64,
 }
@@ -266,21 +298,36 @@ impl<A> ArtifactCache<A> {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up the artifact of one `kind` for a request's content and
-    /// refreshes its recency. The stored content is compared on digest
-    /// match, so a hash collision is a miss, never a wrong artifact.
-    pub fn get(&self, key: &CacheKey, req: &CompileRequest, kind: &ArtifactKind) -> Option<Arc<A>> {
+    /// Looks up the entry of one `kind` for a request's content — an
+    /// artifact or a cached failure — and refreshes its recency. The
+    /// stored content is compared on digest match, so a hash collision
+    /// is a miss, never another program's entry.
+    pub fn lookup(
+        &self,
+        key: &CacheKey,
+        req: &CompileRequest,
+        kind: &ArtifactKind,
+    ) -> Option<Cached<A>> {
         let mut shard = self.shard(key).lock().expect("cache shard lock");
         let tick = self.next_tick();
         match shard.map.get_mut(key) {
             Some(entry) if entry.stored.matches(req, kind) => {
-                let artifact = Arc::clone(&entry.artifact);
+                let value = entry.value.clone();
                 let old = std::mem::replace(&mut entry.tick, tick);
                 shard.recency.remove(&old);
                 shard.recency.insert(tick, *key);
-                Some(artifact)
+                Some(value)
             }
             _ => None,
+        }
+    }
+
+    /// The cached artifact of one `kind` for a request's content, if any
+    /// (a cached failure reads as `None`).
+    pub fn get(&self, key: &CacheKey, req: &CompileRequest, kind: &ArtifactKind) -> Option<Arc<A>> {
+        match self.lookup(key, req, kind)? {
+            Cached::Artifact(artifact) => Some(artifact),
+            Cached::Failure(_) => None,
         }
     }
 
@@ -289,7 +336,7 @@ impl<A> ArtifactCache<A> {
     /// another worker raced the same content, the *first* insertion wins
     /// and is returned — artifacts are deterministic functions of the
     /// content, so either copy is equivalent; keeping the first
-    /// maximizes sharing.
+    /// maximizes sharing. An artifact replaces a cached failure.
     pub fn insert(
         &self,
         key: CacheKey,
@@ -297,43 +344,84 @@ impl<A> ArtifactCache<A> {
         kind: ArtifactKind,
         artifact: A,
     ) -> Arc<A> {
-        let shared = {
-            let mut shard = self.shard(&key).lock().expect("cache shard lock");
+        match self.put(key, req, kind, Cached::Artifact(Arc::new(artifact))) {
+            Cached::Artifact(shared) => shared,
+            Cached::Failure(_) => unreachable!("an artifact always replaces a failure"),
+        }
+    }
+
+    /// Caches a failed compilation under one `kind`'s key. An artifact
+    /// already cached there is kept; an older failure is replaced.
+    pub fn insert_failure(
+        &self,
+        key: CacheKey,
+        req: &CompileRequest,
+        kind: ArtifactKind,
+        failure: Arc<CachedFailure>,
+    ) {
+        self.put(key, req, kind, Cached::Failure(failure));
+    }
+
+    /// Stores `value` unless an artifact for the same content is already
+    /// there, and returns what the entry now holds.
+    fn put(
+        &self,
+        key: CacheKey,
+        req: &CompileRequest,
+        kind: ArtifactKind,
+        value: Cached<A>,
+    ) -> Cached<A> {
+        let stored = {
+            let mut guard = self.shard(&key).lock().expect("cache shard lock");
+            let shard = &mut *guard;
             match shard.map.get(&key) {
-                Some(entry) if entry.stored.matches(req, &kind) => Arc::clone(&entry.artifact),
-                // Digest collision with different content: keep the incumbent
-                // (its requests still verify) and serve this artifact uncached.
-                Some(_) => Arc::new(artifact),
-                None => {
-                    let stored = StoredContent::of_request(req, kind);
-                    let weight = stored.bytes() + (self.weigher)(&artifact);
-                    // An entry that alone exceeds the byte cap can never
-                    // be retained; admitting it would purge every other
-                    // (useful) entry on the way to evicting it. Serve it
-                    // uncached instead and leave the cache untouched.
-                    if self.max_bytes.is_some_and(|cap| weight > cap) {
-                        return Arc::new(artifact);
+                Some(entry) if entry.stored.matches(req, &kind) => {
+                    if let Cached::Artifact(_) = entry.value {
+                        return entry.value.clone();
                     }
-                    let shared = Arc::new(artifact);
-                    let tick = self.next_tick();
-                    shard.map.insert(
-                        key,
-                        Entry {
-                            stored,
-                            artifact: Arc::clone(&shared),
-                            weight,
-                            tick,
-                        },
-                    );
-                    shard.recency.insert(tick, key);
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    self.bytes.fetch_add(weight, Ordering::Relaxed);
-                    shared
+                    // A failure makes way for the new value.
+                    let old = shard.map.remove(&key).expect("entry present");
+                    shard.recency.remove(&old.tick);
+                    self.entries.fetch_sub(1, Ordering::Relaxed);
+                    self.bytes.fetch_sub(old.weight, Ordering::Relaxed);
                 }
+                // Digest collision with different content: keep the
+                // incumbent (its requests still verify) and serve this
+                // value uncached.
+                Some(_) => return value,
+                None => {}
             }
+            let stored = StoredContent::of_request(req, kind);
+            // A failure weighs only its stored content.
+            let weight = stored.bytes()
+                + match &value {
+                    Cached::Artifact(artifact) => (self.weigher)(artifact),
+                    Cached::Failure(_) => 0,
+                };
+            // An entry that alone exceeds the byte cap can never be
+            // retained; admitting it would purge every other (useful)
+            // entry on the way to evicting it. Serve it uncached instead
+            // and leave the cache untouched.
+            if self.max_bytes.is_some_and(|cap| weight > cap) {
+                return value;
+            }
+            let tick = self.next_tick();
+            shard.map.insert(
+                key,
+                Entry {
+                    stored,
+                    value: value.clone(),
+                    weight,
+                    tick,
+                },
+            );
+            shard.recency.insert(tick, key);
+            self.entries.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(weight, Ordering::Relaxed);
+            value
         };
         self.enforce_caps();
-        shared
+        stored
     }
 
     /// Evicts LRU entries until both caps hold. Shards are locked one at
@@ -521,6 +609,31 @@ mod tests {
         assert!(cache.get(&k, &other, &C).is_none());
         // So is a forged lookup for a different kind.
         assert!(cache.get(&k, &r, &ArtifactKind::BaselineDiff).is_none());
+    }
+
+    #[test]
+    fn failures_are_cached_and_make_way_for_artifacts() {
+        let cache: ArtifactCache<String> = ArtifactCache::new();
+        let r = req("x");
+        let k = key(&r);
+        let failure = Arc::new(CachedFailure {
+            kinds: vec![C],
+            error: ServiceError::Panic("boom".to_owned()),
+        });
+        cache.insert_failure(k, &r, C, Arc::clone(&failure));
+        assert!(matches!(cache.lookup(&k, &r, &C), Some(Cached::Failure(_))));
+        assert!(cache.get(&k, &r, &C).is_none(), "a failure is no artifact");
+        assert_eq!(cache.len(), 1);
+        // An artifact replaces the failure…
+        assert_eq!(*cache.insert(k, &r, C, "artifact".to_owned()), "artifact");
+        assert_eq!(cache.len(), 1);
+        // …and a later failure never replaces the artifact.
+        cache.insert_failure(k, &r, C, failure);
+        assert_eq!(
+            cache.get(&k, &r, &C).as_deref(),
+            Some(&"artifact".to_owned())
+        );
+        assert_eq!((cache.len(), cache.counters().evictions), (1, 0));
     }
 
     #[test]

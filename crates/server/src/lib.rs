@@ -10,7 +10,9 @@
 //!   per request;
 //! * [`cache::ArtifactCache`] — a content-addressed memo table keyed by
 //!   `(source hash, root, options)`: a warm hit skips the whole pipeline
-//!   and returns the identical artifact;
+//!   and returns the identical artifact. Compilation is a pure function
+//!   of that key, so failures are cached too: a failing input compiles
+//!   once and replays its error afterwards;
 //! * [`stats::StatsSnapshot`] — requests, hit/miss counts, and p50/p95
 //!   latency per pipeline stage, for capacity planning.
 //!
@@ -26,21 +28,19 @@
 //! * the cache is **lock-striped** into shards selected by the digest's
 //!   high bits and bounded by entry/byte caps with LRU eviction
 //!   ([`cache::CacheConfig`]); eviction counters surface in the stats;
-//! * batches can be submitted **longest-predicted-first** instead of
-//!   FIFO ([`sched::SchedulePolicy::Cost`]): an online [`sched::CostModel`]
-//!   learns nanoseconds-per-hint from the service's own stage timings
-//!   and [`Compiler::cost_hint`] supplies the per-request hint.
+//! * batches are submitted in request order to a bounded admission
+//!   queue; deadlines and a graceful drain cancel work cooperatively
+//!   through a [`CancelToken`].
 //!
 //! ```
-//! use velus_server::{ArtifactKind, Compiler, CompileOutput, CompileRequest, CompileService,
-//!                    ServiceConfig};
+//! use velus_server::{ArtifactKind, CancelToken, Compiler, CompileOutput, CompileRequest,
+//!                    CompileService, FailureReport, ServiceConfig};
 //!
 //! struct Upper;
 //! impl Compiler for Upper {
 //!     type Artifact = String;
-//!     type Error = String;
-//!     fn compile(&self, req: &CompileRequest, kinds: &[ArtifactKind])
-//!         -> Result<CompileOutput<String>, String>
+//!     fn compile(&self, req: &CompileRequest, kinds: &[ArtifactKind], _: &CancelToken)
+//!         -> Result<CompileOutput<String>, FailureReport>
 //!     {
 //!         let artifacts = kinds
 //!             .iter()
@@ -65,15 +65,12 @@ pub mod admit;
 pub mod cache;
 pub mod cancel;
 pub mod pool;
-pub mod sched;
 pub mod service;
 pub mod stats;
 
-pub use admit::{AdmissionConfig, RetryPolicy};
-pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey};
+pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey, Cached, CachedFailure};
 pub use cancel::{CancelReason, CancelToken};
 pub use pool::{ShutdownTimeout, WorkerPool};
-pub use sched::{CostModel, SchedulePolicy};
 pub use service::{
     ArtifactReport, BatchReport, CompileService, DrainReport, RequestReport, ServiceConfig,
     ServiceError, Submission,
@@ -549,13 +546,12 @@ impl<A> CompileOutput<A> {
     }
 }
 
-/// The compiler the service drives. Implementations must be callable
-/// from many worker threads at once.
+/// The compiler the service drives: a pure function from a request and
+/// a kind set to artifacts or a coded failure. Implementations must be
+/// callable from many worker threads at once.
 pub trait Compiler: Send + Sync + 'static {
     /// What a successful compilation produces (cached and shared).
     type Artifact: Send + Sync + 'static;
-    /// The error type of a failed compilation.
-    type Error: Send + std::fmt::Display + 'static;
 
     /// Compiles one request, producing one artifact per requested kind,
     /// and reports per-stage timings. `kinds` is non-empty and
@@ -564,52 +560,23 @@ pub trait Compiler: Send + Sync + 'static {
     /// what the set needs (and no more — e.g. skip emission when
     /// [`ArtifactKind::CCode`] is absent).
     ///
+    /// `cancel` is the request's [`CancelToken`]: a long compilation
+    /// should check it at internal boundaries (pass transitions) and,
+    /// once it fires, fail with the token's code (`E0802` for an
+    /// expired deadline, `E0805` for a drain). Such failures are never
+    /// cached.
+    ///
     /// # Errors
     ///
-    /// Any compilation failure; the service maps it to
+    /// Any compilation failure, as a structured, coded
+    /// [`FailureReport`]; the service wraps it in
     /// [`ServiceError::Compile`] without disturbing other requests.
     fn compile(
         &self,
         req: &CompileRequest,
         kinds: &[ArtifactKind],
-    ) -> Result<CompileOutput<Self::Artifact>, Self::Error>;
-
-    /// Like [`Compiler::compile`], but handed the request's
-    /// [`CancelToken`] so long compilations can abort cooperatively at
-    /// internal boundaries (pass transitions, injected delays) when the
-    /// deadline expires or the service drains. The default ignores the
-    /// token — existing compilers stay correct, just not early-exiting;
-    /// the service detects expiry itself after the call returns.
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
         cancel: &CancelToken,
-    ) -> Result<CompileOutput<Self::Artifact>, Self::Error> {
-        let _ = cancel;
-        self.compile(req, kinds)
-    }
-
-    /// Flattens a compilation failure into the structured, coded
-    /// [`FailureReport`] the service stores in
-    /// [`ServiceError::Compile`] and counts per code in its statistics.
-    /// The default produces one uncoded (`E0000`) record from the
-    /// error's `Display`; real compilers override this with their
-    /// diagnostics.
-    fn failure_report(&self, req: &CompileRequest, err: &Self::Error) -> FailureReport {
-        let _ = req;
-        FailureReport::from_message(err.to_string())
-    }
-
-    /// A cheap syntactic estimate of how expensive `req` is to compile,
-    /// in arbitrary but consistent units (only relative magnitudes
-    /// matter). Drives cost-predicted batch scheduling
-    /// ([`SchedulePolicy::Cost`]); the default is the source length.
-    /// Must be far cheaper than compiling — it runs on every request
-    /// of a batch before any is submitted.
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        req.source.len() as u64
-    }
+    ) -> Result<CompileOutput<Self::Artifact>, FailureReport>;
 
     /// The resident size the cache should account for an artifact, in
     /// bytes, for [`CacheConfig::max_bytes`] enforcement. The default

@@ -21,6 +21,12 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Stack size of every worker thread: 8 MiB, the main-thread default, so
+/// a program the `velus compile` CLI handles also compiles through the
+/// service (the 2 MiB spawn default overflows on a 4000-deep `if`
+/// chain or a 3000-equation node).
+pub const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// The default shutdown-ack timeout (the historically hard-coded 10 s,
 /// now overridable via `ServiceConfig::shutdown_timeout` /
 /// [`WorkerPool::with_shutdown_timeout`]).
@@ -90,6 +96,7 @@ impl WorkerPool {
                 let ack = ack_tx.clone();
                 thread::Builder::new()
                     .name(format!("velus-worker-{k}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || loop {
                         let job = {
                             let guard = receiver.lock().expect("job queue lock");

@@ -1,32 +1,31 @@
 //! The compilation service proper: admission control, cache lookup,
-//! worker-pool dispatch, deadlines, retry, panic containment and
-//! quarantine, graceful drain, and statistics.
+//! worker-pool dispatch, deadlines, panic containment, graceful drain,
+//! and statistics.
 //!
-//! The fault-tolerance layer (see `docs/ARCHITECTURE.md`, "Fault
-//! tolerance in the serving layer") wraps every request in a fixed
-//! state machine:
+//! Compilation is a pure function of the request content, so the
+//! service needs no retry: a failure is as deterministic as an
+//! artifact, and it is cached like one. Every request follows one fixed
+//! path (see `docs/ARCHITECTURE.md`, "Fault tolerance in the serving
+//! layer"):
 //!
 //! ```text
-//! submit ── admission ──► queued ──► gate ──► attempt ──► done
-//!              │ E0801/E0805          │ E0802/E0803  │
-//!              ▼                      ▼              ▼ transient?
-//!            shed                 rejected      retry w/ backoff
+//! submit ── admission ──► queued ──► deadline ──► cache ──► compile ──► done
+//!              │ E0801/E0805          │ E0802       │ hit     │ error/panic
+//!              ▼                      ▼             ▼         ▼
+//!            shed                 rejected       replay   cached, then failed
 //! ```
 //!
-//! * **Admission** ([`crate::AdmissionConfig`]) bounds outstanding work
-//!   by count and by *predicted cost* (the cost model's ns/hint ratio)
-//!   and sheds the excess with [`ServiceError::Overloaded`] instead of
-//!   queueing unboundedly.
+//! * **Admission** bounds outstanding work by count
+//!   ([`ServiceConfig::queue_cap`]) and sheds the excess with
+//!   [`ServiceError::Overloaded`] instead of queueing unboundedly.
 //! * **Deadlines**: a request's `deadline_ms` starts at admission; the
-//!   per-request [`CancelToken`] is checked before each attempt and at
-//!   every pass boundary of a cooperative compiler.
-//! * **Retry**: transient failures (per
-//!   [`velus_common::codes::retry_class_of`]) are re-attempted up to
-//!   [`crate::RetryPolicy::budget`] with decorrelated-jitter backoff;
-//!   source failures never are.
-//! * **Quarantine**: an input whose compilation still panics after its
-//!   retries has its digest blocklisted; repeat offenders are rejected
-//!   with [`ServiceError::Quarantined`] before touching a worker.
+//!   per-request [`CancelToken`] is checked before compiling and at
+//!   every pass boundary of the compiler.
+//! * **Failure caching**: a compile error or a contained panic is stored
+//!   in the artifact cache under the request's per-kind keys and
+//!   replayed to later requests for the same content, so a failing input
+//!   compiles at most once while it stays cached. Cancellations (`E0802`,
+//!   `E0805`) depend on timing, not on the input, and are never cached.
 //! * **Drain** ([`CompileService::drain`]) closes admission, waits for
 //!   in-flight work, and cancels stragglers via the shared kill switch.
 
@@ -36,15 +35,14 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use velus_common::{codes, RetryClass, Severity};
+use velus_common::{codes, Severity};
 use velus_obs::trace;
 use velus_obs::Recorder;
 
-use crate::admit::{Admission, AdmissionConfig, AdmitReject, Backoff, Quarantine, RetryPolicy};
-use crate::cache::{ArtifactCache, CacheConfig, CacheKey};
+use crate::admit::{Admission, AdmitReject};
+use crate::cache::{ArtifactCache, CacheConfig, CacheKey, Cached, CachedFailure};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
-use crate::sched::{submission_order, CostModel, SchedulePolicy};
 use crate::stats::{StatsCollector, StatsSnapshot};
 use crate::{ArtifactKind, CompileRequest, Compiler, DiagRecord, FailureReport};
 
@@ -57,26 +55,18 @@ const DRAIN_GRACE: Duration = Duration::from_millis(500);
 pub struct ServiceConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Whether the artifact cache is consulted and filled.
-    pub caching: bool,
     /// Cache shape and capacity (shard count, entry/byte caps).
     pub cache: CacheConfig,
-    /// Batch submission order (FIFO or cost-predicted LPT).
-    pub schedule: SchedulePolicy,
     /// Structured-tracing recorder. When set, every request runs under
-    /// a trace scope (queue wait, scheduling, cache probe, pipeline
-    /// passes, artifact handling) and the recorder's flight recorder
-    /// retains the slowest requests' span trees. `None` (the default)
-    /// keeps the service entirely trace-free.
+    /// a trace scope (queue wait, cache probe, pipeline passes, artifact
+    /// handling) and the recorder's flight recorder retains the slowest
+    /// requests' span trees. `None` (the default) keeps the service
+    /// entirely trace-free.
     pub recorder: Option<Recorder>,
-    /// Admission bounds (queue cap, cost budget). The default admits
-    /// everything, matching the pre-admission behavior.
-    pub admission: AdmissionConfig,
-    /// Retry policy for transient failures. The default budget is 0:
-    /// retrying is opt-in.
-    pub retry: RetryPolicy,
-    /// Capacity of the panic quarantine (input digests); 0 disables it.
-    pub quarantine_cap: usize,
+    /// Maximum outstanding admitted requests (queued + running); excess
+    /// requests are shed with `E0801`. `None` (the default) admits
+    /// everything.
+    pub queue_cap: Option<usize>,
     /// How long shutdown waits for each worker to acknowledge before
     /// surfacing a coded `E0804` timeout (and how long `Drop` waits
     /// before detaching wedged workers instead of hanging).
@@ -87,29 +77,21 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            caching: true,
             cache: CacheConfig::default(),
-            schedule: SchedulePolicy::default(),
             recorder: None,
-            admission: AdmissionConfig::default(),
-            retry: RetryPolicy::default(),
-            quarantine_cap: 64,
+            queue_cap: None,
             shutdown_timeout: DEFAULT_SHUTDOWN_TIMEOUT,
         }
     }
 }
 
 /// Why a request failed.
-#[derive(Debug)]
-pub enum ServiceError<E> {
+#[derive(Debug, Clone)]
+pub enum ServiceError {
     /// The compiler reported an error (the usual case: bad input). The
-    /// payload is no longer an opaque `Display` string: the structured
-    /// [`FailureReport`] carries every diagnostic's stable code,
-    /// originating stage, severity and resolved position, and the
-    /// original typed error rides along for programmatic access.
+    /// structured [`FailureReport`] carries every diagnostic's stable
+    /// code, originating stage, severity and resolved position.
     Compile {
-        /// The compiler's typed error.
-        error: E,
         /// The flattened, coded diagnostics of the failure.
         report: FailureReport,
     },
@@ -122,26 +104,21 @@ pub enum ServiceError<E> {
     /// The worker executing the request disappeared before reporting
     /// (should not happen; a defensive placeholder, never silent).
     Lost,
-    /// Admission control shed the request: the queue cap or cost budget
-    /// was exceeded (`E0801`). Retrying later, when load has receded,
-    /// may succeed.
+    /// Admission control shed the request: the queue cap was exceeded
+    /// (`E0801`). Retrying later, when load has receded, may succeed.
     Overloaded {
         /// Outstanding admitted requests at rejection time.
         queued: u64,
     },
     /// The request's deadline expired — while queued, or at a pass
-    /// boundary of a cooperative compiler (`E0802`).
+    /// boundary of the compiler (`E0802`).
     DeadlineExceeded,
-    /// The input's digest is quarantined after repeated panics
-    /// (`E0803`). Resubmitting the identical input is rejected until
-    /// the quarantine entry ages out.
-    Quarantined,
     /// The service is draining or shut down; the request was rejected
     /// or cancelled (`E0805`).
     Draining,
 }
 
-impl<E> ServiceError<E> {
+impl ServiceError {
     /// The structured, coded report of this failure — every variant
     /// yields at least one [`DiagRecord`] with a stable code, so shed
     /// and timed-out requests are machine-readable like compile errors.
@@ -159,7 +136,7 @@ impl<E> ServiceError<E> {
             }
         }
         match self {
-            ServiceError::Compile { report, .. } => report.clone(),
+            ServiceError::Compile { report } => report.clone(),
             ServiceError::Panic(msg) => {
                 FailureReport::from_message(format!("compiler panicked: {msg}"))
             }
@@ -176,10 +153,6 @@ impl<E> ServiceError<E> {
             ServiceError::DeadlineExceeded => {
                 coded(codes::E0802, "request deadline exceeded".to_owned())
             }
-            ServiceError::Quarantined => coded(
-                codes::E0803,
-                "input quarantined after repeated compiler panics".to_owned(),
-            ),
             ServiceError::Draining => coded(
                 codes::E0805,
                 "service is draining; request rejected or cancelled".to_owned(),
@@ -188,10 +161,10 @@ impl<E> ServiceError<E> {
     }
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for ServiceError<E> {
+impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Compile { report, .. } => write!(f, "{report}"),
+            ServiceError::Compile { report } => write!(f, "{report}"),
             ServiceError::Panic(msg) => write!(f, "compiler panicked: {msg}"),
             ServiceError::MissingArtifact(kind) => {
                 write!(f, "compiler produced no `{kind}` artifact")
@@ -202,7 +175,6 @@ impl<E: std::fmt::Display> std::fmt::Display for ServiceError<E> {
                 "error[E0801]: service overloaded ({queued} requests outstanding)"
             ),
             ServiceError::DeadlineExceeded => f.write_str("error[E0802]: deadline exceeded"),
-            ServiceError::Quarantined => f.write_str("error[E0803]: input quarantined"),
             ServiceError::Draining => f.write_str("error[E0805]: service draining"),
         }
     }
@@ -226,9 +198,10 @@ pub struct RequestReport<C: Compiler> {
     pub name: String,
     /// The served artifacts (one per requested kind, in kind order), or
     /// the failure.
-    pub result: Result<Vec<ArtifactReport<C>>, ServiceError<C::Error>>,
-    /// Whether **every** requested kind was served from the cache (the
-    /// pipeline did not run at all).
+    pub result: Result<Vec<ArtifactReport<C>>, ServiceError>,
+    /// Whether the request was answered entirely from the cache — every
+    /// requested artifact, or a cached failure — so the pipeline did not
+    /// run at all.
     pub cache_hit: bool,
     /// Non-fatal warnings the compilation emitted (empty when every
     /// kind was served from the cache — warnings surface when the
@@ -237,12 +210,10 @@ pub struct RequestReport<C: Compiler> {
     /// End-to-end latency of this request (queueing excluded; measured
     /// from when a worker picks it up).
     pub latency: Duration,
-    /// Compilation attempts executed: 1 for the normal path, more when
-    /// transient failures were retried, 0 when the request never ran
-    /// (shed at admission, quarantined, or expired while queued).
+    /// 1 when the request was served (from the cache or by compiling),
+    /// 0 when it never ran (shed at admission or expired while queued).
     pub attempts: u32,
 }
-
 impl<C: Compiler> RequestReport<C> {
     /// The served artifact of the given kind, if the request succeeded
     /// and asked for it.
@@ -372,38 +343,18 @@ impl<C: Compiler> Submission<C> {
 }
 
 /// Everything a request's execution needs, shared once per job instead
-/// of cloning six `Arc`s into every closure.
+/// of cloning several `Arc`s into every closure.
 struct Inner<C: Compiler> {
     compiler: C,
     cache: ArtifactCache<C::Artifact>,
-    caching: bool,
     stats: StatsCollector,
-    cost_model: CostModel,
     in_flight: AtomicU64,
     admission: Admission,
-    quarantine: Quarantine,
-    retry: RetryPolicy,
     /// Drain/shutdown kill switch shared with every request token.
     kill: Arc<AtomicBool>,
 }
 
 impl<C: Compiler> Inner<C> {
-    /// The cost-model ratio for admission pricing — `None` (and no
-    /// pricing work at all) unless a cost budget is configured *and*
-    /// the model has observed samples. `ns_per_hint` locks and sorts
-    /// the model's window, so the fault-free warm path must not pay it.
-    fn admission_ratio(&self) -> Option<f64> {
-        if self.admission.config().cost_budget_ms.is_some() {
-            self.cost_model.ns_per_hint()
-        } else {
-            None
-        }
-    }
-
-    fn price(&self, req: &CompileRequest, ratio: Option<f64>) -> u64 {
-        ratio.map_or(0, |r| (self.compiler.cost_hint(req) as f64 * r) as u64)
-    }
-
     fn token_for(&self, req: &CompileRequest) -> CancelToken {
         CancelToken::for_request(
             req.deadline_ms
@@ -417,7 +368,6 @@ impl<C: Compiler> Inner<C> {
 /// [`Compiler`]. See the crate docs for the architecture.
 pub struct CompileService<C: Compiler> {
     inner: Arc<Inner<C>>,
-    schedule: SchedulePolicy,
     pool: WorkerPool,
     recorder: Option<Recorder>,
 }
@@ -429,16 +379,11 @@ impl<C: Compiler> CompileService<C> {
             inner: Arc::new(Inner {
                 compiler,
                 cache: ArtifactCache::with_config(config.cache, Box::new(C::artifact_bytes)),
-                caching: config.caching,
                 stats: StatsCollector::new(),
-                cost_model: CostModel::new(),
                 in_flight: AtomicU64::new(0),
-                admission: Admission::new(config.admission),
-                quarantine: Quarantine::new(config.quarantine_cap),
-                retry: config.retry,
+                admission: Admission::new(config.queue_cap),
                 kill: Arc::new(AtomicBool::new(false)),
             }),
-            schedule: config.schedule,
             pool: WorkerPool::with_shutdown_timeout(config.workers, config.shutdown_timeout),
             recorder: config.recorder,
         }
@@ -466,7 +411,7 @@ impl<C: Compiler> CompileService<C> {
         self.pool.dead_workers()
     }
 
-    /// Number of distinct artifacts cached.
+    /// Number of cache entries (artifacts and cached failures).
     pub fn cache_len(&self) -> usize {
         self.inner.cache.len()
     }
@@ -485,29 +430,22 @@ impl<C: Compiler> CompileService<C> {
     /// occupancy and eviction counters, the in-flight queue depth, and
     /// the robustness counters).
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot(
-            self.inner.cache.counters(),
-            self.in_flight(),
-            self.inner.quarantine.len(),
-        )
+        self.inner
+            .stats
+            .snapshot(self.inner.cache.counters(), self.in_flight())
     }
 
-    /// The online cost model driving [`SchedulePolicy::Cost`] and the
-    /// admission cost budget.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.inner.cost_model
-    }
-
-    /// Drops every cached artifact (for benchmarking cold paths).
+    /// Drops every cached artifact and failure (for benchmarking cold
+    /// paths).
     pub fn clear_cache(&self) {
         self.inner.cache.clear();
     }
 
-    /// Compiles one request on the calling thread (same cache,
-    /// deadline/retry/quarantine handling, and accounting as a batch;
-    /// traced when a recorder is configured — without a queue-wait
-    /// interval, since nothing queued). Runs outside admission — it
-    /// consumes no pool capacity — but a draining service rejects it.
+    /// Compiles one request on the calling thread (same cache, deadline
+    /// handling and accounting as a batch; traced when a recorder is
+    /// configured — without a queue-wait interval, since nothing
+    /// queued). Runs outside admission — it consumes no pool capacity —
+    /// but a draining service rejects it.
     pub fn compile_one(&self, req: CompileRequest) -> RequestReport<C> {
         let _scope = self.recorder.as_ref().map(|rec| rec.scope(&req.name));
         if self.inner.admission.is_closed() {
@@ -522,8 +460,7 @@ impl<C: Compiler> CompileService<C> {
     /// A shed request resolves immediately with its coded rejection.
     pub fn submit(&self, req: CompileRequest) -> Submission<C> {
         let (tx, rx) = mpsc::channel();
-        let cost_ns = self.inner.price(&req, self.inner.admission_ratio());
-        if let Err(reject) = self.inner.admission.try_admit(cost_ns) {
+        if let Err(reject) = self.inner.admission.try_admit() {
             let report = rejected(&self.inner.stats, req.name, reject_error(reject));
             let _ = tx.send(report);
             return Submission {
@@ -535,20 +472,15 @@ impl<C: Compiler> CompileService<C> {
         let inner = Arc::clone(&self.inner);
         self.pool.execute(move || {
             let report = run_request(&inner, req, &token);
-            inner.admission.release(cost_ns);
+            inner.admission.release();
             let _ = tx.send(report);
         });
         Submission { admitted: true, rx }
     }
 
-    /// Compiles a batch on the worker pool and reports per-request
-    /// outcomes **in request order** (output order does not depend on
-    /// worker count or scheduling).
-    ///
-    /// Submission order follows the configured [`SchedulePolicy`]:
-    /// FIFO submits in request order; cost-predicted scheduling submits
-    /// longest-predicted-first (LPT), which shortens the makespan of
-    /// skewed batches by keeping the expensive requests off the tail.
+    /// Compiles a batch on the worker pool, submitting in request order,
+    /// and reports per-request outcomes **in request order** (output
+    /// order does not depend on worker count).
     ///
     /// Requests the admission layer sheds fail immediately with a coded
     /// [`ServiceError::Overloaded`]/[`ServiceError::Draining`] — their
@@ -556,25 +488,9 @@ impl<C: Compiler> CompileService<C> {
     pub fn compile_batch(&self, reqs: Vec<CompileRequest>) -> BatchReport<C> {
         let start = Instant::now();
         let n = reqs.len();
-        let order = match self.schedule {
-            SchedulePolicy::Fifo => (0..n).collect(),
-            SchedulePolicy::Cost => {
-                // One lock + sort for the whole batch, not per request.
-                let ratio = self.inner.cost_model.ns_per_hint().unwrap_or(1.0);
-                let costs: Vec<u64> = reqs
-                    .iter()
-                    .map(|r| (self.inner.compiler.cost_hint(r) as f64 * ratio) as u64)
-                    .collect();
-                submission_order(SchedulePolicy::Cost, &costs)
-            }
-        };
-        let admit_ratio = self.inner.admission_ratio();
-        let mut slots_in: Vec<Option<CompileRequest>> = reqs.into_iter().map(Some).collect();
         let (tx, rx) = mpsc::channel::<(usize, RequestReport<C>)>();
-        for (submit_index, index) in order.into_iter().enumerate() {
-            let req = slots_in[index].take().expect("each request submits once");
-            let cost_ns = self.inner.price(&req, admit_ratio);
-            if let Err(reject) = self.inner.admission.try_admit(cost_ns) {
+        for (index, req) in reqs.into_iter().enumerate() {
+            if let Err(reject) = self.inner.admission.try_admit() {
                 let report = rejected(&self.inner.stats, req.name, reject_error(reject));
                 let _ = tx.send((index, report));
                 continue;
@@ -584,7 +500,6 @@ impl<C: Compiler> CompileService<C> {
             let token = self.inner.token_for(&req);
             let tx = tx.clone();
             let inner = Arc::clone(&self.inner);
-            let schedule = self.schedule;
             // The trace ID is allocated at submission so the queue-wait
             // interval (submit → worker pickup) can be keyed to it.
             let traced = self
@@ -599,14 +514,10 @@ impl<C: Compiler> CompileService<C> {
                         *submit_ns,
                         rec.now_ns().saturating_sub(*submit_ns),
                     );
-                    trace::instant(
-                        "sched",
-                        Some(format!("policy={schedule:?} submit_index={submit_index}")),
-                    );
                     scope
                 });
                 let report = run_request(&inner, req, &token);
-                inner.admission.release(cost_ns);
+                inner.admission.release();
                 // The receiver outlives the batch; a send failure means
                 // the batch was abandoned, which compile_batch never does.
                 let _ = tx.send((index, report));
@@ -686,7 +597,7 @@ impl<C: Compiler> CompileService<C> {
     }
 }
 
-fn reject_error<E>(reject: AdmitReject) -> ServiceError<E> {
+fn reject_error(reject: AdmitReject) -> ServiceError {
     match reject {
         AdmitReject::Overloaded { queued } => ServiceError::Overloaded { queued },
         AdmitReject::Draining => ServiceError::Draining,
@@ -698,7 +609,7 @@ fn reject_error<E>(reject: AdmitReject) -> ServiceError<E> {
 fn rejected<C: Compiler>(
     stats: &StatsCollector,
     name: String,
-    err: ServiceError<C::Error>,
+    err: ServiceError,
 ) -> RequestReport<C> {
     stats.record_shed();
     stats.record_failure_codes(&err.failure_report().codes());
@@ -712,17 +623,15 @@ fn rejected<C: Compiler>(
     }
 }
 
-fn cancel_to_error<E>(reason: CancelReason) -> ServiceError<E> {
+fn cancel_to_error(reason: CancelReason) -> ServiceError {
     match reason {
         CancelReason::Deadline => ServiceError::DeadlineExceeded,
         CancelReason::Shutdown => ServiceError::Draining,
     }
 }
 
-/// The per-request path: cancellation gate, quarantine gate, then the
-/// attempt loop (per-kind cache probe, one guarded compile for the
-/// missing kinds, per-kind cache fill) with transient-failure retry,
-/// and accounting. Runs on a worker (batch/submit) or the caller
+/// The per-request path: the cancellation gate, then [`serve`], then
+/// accounting. Runs on a worker (batch/submit) or the caller
 /// (`compile_one`).
 fn run_request<C: Compiler>(
     inner: &Inner<C>,
@@ -732,103 +641,24 @@ fn run_request<C: Compiler>(
     let start = Instant::now();
     inner.stats.record_request();
     inner.in_flight.fetch_add(1, Ordering::Relaxed);
-    let kinds = req.options.effective_kinds();
-    let keys: Vec<CacheKey> = kinds
-        .iter()
-        .map(|kind| CacheKey::of_request(&req, kind))
-        .collect();
-
-    let mut attempts: u32 = 0;
-    let mut backoff = Backoff::new(inner.retry, keys[0].seed());
-    let mut all_hit = false;
-    let mut warnings: Vec<DiagRecord> = Vec::new();
-    let result = loop {
-        // Gates, re-checked before every attempt: a request that
-        // expired while queued (or while backing off) never runs, and a
-        // quarantined input never reaches a worker's compiler.
-        if let Some(reason) = token.state() {
-            break Err(cancel_to_error(reason));
-        }
-        if inner.quarantine.check(&keys[0]) {
-            inner.stats.record_quarantine_hit();
-            break Err(ServiceError::Quarantined);
-        }
-        let first = attempts == 0;
-        attempts += 1;
-        let (hit, warn, outcome) = attempt(inner, &req, &kinds, &keys, token, first);
-        all_hit = hit;
-        warnings = warn;
-        match outcome {
-            Ok(artifacts) => {
-                if attempts > 1 {
-                    inner.stats.record_retry_success();
-                }
-                break Ok(artifacts);
-            }
-            Err(err) => {
-                // A cooperative compiler surfaces cancellation as a
-                // coded compile failure; map it back to the
-                // service-level condition (and never retry it — the
-                // E08xx transient class is for *client-side* retries
-                // with a fresh deadline, not for re-running a request
-                // whose own deadline is already spent).
-                if let ServiceError::Compile { report, .. } = &err {
-                    let codes = report.codes();
-                    if codes.contains(&codes::E0802.id) {
-                        break Err(ServiceError::DeadlineExceeded);
-                    }
-                    if codes.contains(&codes::E0805.id) {
-                        break Err(ServiceError::Draining);
-                    }
-                }
-                let transient = match &err {
-                    ServiceError::Panic(_) => true,
-                    ServiceError::Compile { report, .. } => {
-                        let failure_codes = report.codes();
-                        !failure_codes.is_empty()
-                            && failure_codes
-                                .iter()
-                                .all(|c| codes::retry_class_of(c) == RetryClass::Transient)
-                    }
-                    _ => false,
-                };
-                if transient && attempts <= inner.retry.budget {
-                    let sleep = backoff.next();
-                    // Retry only when the backoff fits inside the
-                    // remaining deadline; otherwise the sleep itself
-                    // would turn a real failure into E0802.
-                    let fits = token.remaining().is_none_or(|rem| rem > sleep);
-                    if fits && !token.is_cancelled() {
-                        inner.stats.record_retry_attempt();
-                        thread::sleep(sleep);
-                        continue;
-                    }
-                }
-                // Final outcome. A panic that survived its retries
-                // quarantines the input's digest: repeat offenders are
-                // rejected instantly instead of re-poisoning workers.
-                if matches!(err, ServiceError::Panic(_)) {
-                    inner.quarantine.insert(keys[0]);
-                }
-                break Err(err);
-            }
+    // A request that expired while queued never runs.
+    let (attempts, cache_hit, warnings, result) = match token.state() {
+        Some(reason) => (0, false, Vec::new(), Err(cancel_to_error(reason))),
+        None => {
+            let (hit, warnings, result) = serve(inner, &req, token);
+            (1, hit, warnings, result)
         }
     };
-
     match &result {
-        // Compile errors and panics are disjoint counters (a panicking
-        // request counts only under `panics`, recorded per attempt in
-        // compile_guarded).
-        Err(ServiceError::Compile { report, .. }) => {
+        // Compile errors and panics are disjoint counters.
+        Err(ServiceError::Compile { report }) => {
             inner.stats.record_error();
             inner.stats.record_failure_codes(&report.codes());
         }
+        Err(ServiceError::Panic(_)) => inner.stats.record_panic(),
         Err(ServiceError::DeadlineExceeded) => {
             inner.stats.record_deadline_exceeded();
             inner.stats.record_failure_codes(&[codes::E0802.id]);
-        }
-        Err(ServiceError::Quarantined) => {
-            inner.stats.record_failure_codes(&[codes::E0803.id]);
         }
         Err(ServiceError::Draining) => {
             inner.stats.record_failure_codes(&[codes::E0805.id]);
@@ -841,138 +671,162 @@ fn run_request<C: Compiler>(
     RequestReport {
         name: req.name,
         result,
-        cache_hit: all_hit,
+        cache_hit,
         warnings,
         latency,
         attempts,
     }
 }
 
-/// One attempt: per-kind cache probe, one guarded compile for the
-/// missing kinds, per-kind cache fill, artifact assembly. Kind and
-/// hit/miss counters record only on the first attempt so retries do
-/// not inflate per-request statistics; the cache is re-probed on every
-/// attempt (another worker may have filled it meanwhile).
+/// Serves one request: per-kind cache probe, then — unless the cache
+/// answered everything, artifacts or a failure — one guarded compile of
+/// the missing kinds, whose artifacts or failure fill the cache.
+/// Returns whether the cache answered, the compile's warnings, and the
+/// outcome.
 #[allow(clippy::type_complexity)]
-fn attempt<C: Compiler>(
+fn serve<C: Compiler>(
     inner: &Inner<C>,
     req: &CompileRequest,
-    kinds: &[ArtifactKind],
-    keys: &[CacheKey],
     token: &CancelToken,
-    first: bool,
 ) -> (
     bool,
     Vec<DiagRecord>,
-    Result<Vec<ArtifactReport<C>>, ServiceError<C::Error>>,
+    Result<Vec<ArtifactReport<C>>, ServiceError>,
 ) {
+    let kinds = req.options.effective_kinds();
+    let keys: Vec<CacheKey> = kinds
+        .iter()
+        .map(|kind| CacheKey::of_request(req, kind))
+        .collect();
     let probe = trace::enter("cache-probe");
     let mut slots: Vec<Option<Arc<C::Artifact>>> = Vec::with_capacity(kinds.len());
-    for (kind, key) in kinds.iter().zip(keys) {
-        let found = if inner.caching {
-            inner.cache.get(key, req, kind)
-        } else {
-            None
+    let mut failure: Option<Arc<CachedFailure>> = None;
+    for (kind, key) in kinds.iter().zip(&keys) {
+        let found = match inner.cache.lookup(key, req, kind) {
+            Some(Cached::Artifact(artifact)) => Some(artifact),
+            // A failure replays only to a request asking for every kind
+            // it failed for; a request for fewer kinds may still compile.
+            Some(Cached::Failure(f)) if f.kinds.iter().all(|k| kinds.contains(k)) => {
+                failure = Some(f);
+                None
+            }
+            _ => None,
         };
-        if first {
-            inner.stats.record_kind(kind, found.is_some());
-        }
-        if trace::active() {
-            let outcome = if found.is_some() { "hit" } else { "miss" };
-            trace::instant("probe", Some(format!("{kind}:{outcome}")));
-        }
         slots.push(found);
     }
+    let all_hit = failure.is_some() || slots.iter().all(Option::is_some);
+    for (kind, slot) in kinds.iter().zip(&slots) {
+        let hit = failure.is_some() || slot.is_some();
+        inner.stats.record_kind(kind, hit);
+        if trace::active() {
+            let outcome = if hit { "hit" } else { "miss" };
+            trace::instant("probe", Some(format!("{kind}:{outcome}")));
+        }
+    }
     trace::exit(probe);
+    if all_hit {
+        inner.stats.record_hit();
+    } else {
+        inner.stats.record_miss();
+    }
+    if let Some(failure) = failure {
+        return (true, Vec::new(), Err(failure.error.clone()));
+    }
+
     let missing: Vec<usize> = (0..kinds.len()).filter(|&i| slots[i].is_none()).collect();
-    let all_hit = missing.is_empty();
-    if first {
-        if all_hit {
-            inner.stats.record_hit();
-        } else {
-            inner.stats.record_miss();
+    let mut warnings: Vec<DiagRecord> = Vec::new();
+    if !missing.is_empty() {
+        let missing_kinds: Vec<ArtifactKind> = missing.iter().map(|&i| kinds[i]).collect();
+        match compile_guarded(inner, req, &missing_kinds, token) {
+            Ok(output) => {
+                let _store = trace::span("cache-fill");
+                inner.stats.record_warnings(output.warnings.len() as u64);
+                inner
+                    .stats
+                    .record_lint_codes(output.warnings.iter().map(|w| w.code));
+                warnings = output.warnings;
+                for (kind, artifact) in output.artifacts {
+                    // Only requested-and-missing kinds are admitted; a
+                    // compiler returning extras (or duplicates) does not
+                    // grow the cache beyond what was asked for.
+                    let Some(slot) =
+                        (0..kinds.len()).find(|&i| kinds[i] == kind && slots[i].is_none())
+                    else {
+                        continue;
+                    };
+                    slots[slot] = Some(inner.cache.insert(keys[slot], req, kind, artifact));
+                }
+            }
+            Err(error) => {
+                // A compile error or a panic is a property of the input:
+                // cache it under every kind it was asked for.
+                // Cancellations depend on timing and are not cached.
+                if matches!(error, ServiceError::Compile { .. } | ServiceError::Panic(_)) {
+                    let _store = trace::span("cache-fill");
+                    let failure = Arc::new(CachedFailure {
+                        kinds: missing_kinds,
+                        error: error.clone(),
+                    });
+                    for &i in &missing {
+                        inner
+                            .cache
+                            .insert_failure(keys[i], req, kinds[i], Arc::clone(&failure));
+                    }
+                }
+                return (false, Vec::new(), Err(error));
+            }
         }
     }
 
-    let mut warnings: Vec<DiagRecord> = Vec::new();
-    let result = if all_hit {
-        Ok(())
-    } else {
-        let missing_kinds: Vec<ArtifactKind> = missing.iter().map(|&i| kinds[i]).collect();
-        compile_guarded(inner, req, &missing_kinds, token).map(|output| {
-            let _store = trace::span("cache-fill");
-            inner.stats.record_warnings(output.warnings.len() as u64);
-            inner
-                .stats
-                .record_lint_codes(output.warnings.iter().map(|w| w.code));
-            warnings = output.warnings;
-            for (kind, artifact) in output.artifacts {
-                // Only requested-and-missing kinds are admitted; a
-                // compiler returning extras (or duplicates) does not
-                // grow the cache beyond what was asked for.
-                let Some(slot) = (0..kinds.len()).find(|&i| kinds[i] == kind && slots[i].is_none())
-                else {
-                    continue;
-                };
-                let shared = if inner.caching {
-                    inner.cache.insert(keys[slot], req, kind, artifact)
-                } else {
-                    Arc::new(artifact)
-                };
-                slots[slot] = Some(shared);
-            }
-        })
-    };
-
-    let result = result.and_then(|()| {
-        let mut artifacts: Vec<ArtifactReport<C>> = Vec::with_capacity(kinds.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(artifact) => artifacts.push(ArtifactReport {
-                    kind: kinds[i],
-                    artifact,
-                    cache_hit: !missing.contains(&i),
-                }),
-                None => return Err(ServiceError::MissingArtifact(kinds[i])),
+    let mut artifacts: Vec<ArtifactReport<C>> = Vec::with_capacity(kinds.len());
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Some(artifact) => artifacts.push(ArtifactReport {
+                kind: kinds[i],
+                artifact,
+                cache_hit: !missing.contains(&i),
+            }),
+            None => {
+                return (
+                    all_hit,
+                    warnings,
+                    Err(ServiceError::MissingArtifact(kinds[i])),
+                )
             }
         }
-        Ok(artifacts)
-    });
-    (all_hit, warnings, result)
+    }
+    (all_hit, warnings, Ok(artifacts))
 }
 
+/// Runs the compiler with its panics contained, and maps a failure
+/// carrying a cancellation code back to the service-level condition.
 fn compile_guarded<C: Compiler>(
     inner: &Inner<C>,
     req: &CompileRequest,
     kinds: &[ArtifactKind],
     token: &CancelToken,
-) -> Result<crate::CompileOutput<C::Artifact>, ServiceError<C::Error>> {
-    let compile_start = Instant::now();
+) -> Result<crate::CompileOutput<C::Artifact>, ServiceError> {
     let guard = trace::enter("compile");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        inner.compiler.compile_cancellable(req, kinds, token)
+        inner.compiler.compile(req, kinds, token)
     }));
     trace::exit(guard);
     match outcome {
         Ok(Ok(output)) => {
             inner.stats.record_stages(&output.samples);
-            // Teach the cost model what this request actually cost
-            // (successes only: failures abort early and would skew the
-            // nanoseconds-per-hint ratio down).
-            inner.cost_model.record(
-                inner.compiler.cost_hint(req),
-                compile_start.elapsed().as_nanos() as u64,
-            );
             Ok(output)
         }
-        Ok(Err(error)) => {
-            let report = inner.compiler.failure_report(req, &error);
-            Err(ServiceError::Compile { error, report })
+        Ok(Err(report)) => {
+            let failure_codes = report.codes();
+            Err(if failure_codes.contains(&codes::E0802.id) {
+                ServiceError::DeadlineExceeded
+            } else if failure_codes.contains(&codes::E0805.id) {
+                ServiceError::Draining
+            } else {
+                ServiceError::Compile { report }
+            })
         }
-        Err(panic) => {
-            inner.stats.record_panic();
-            Err(ServiceError::Panic(panic_message(panic.as_ref())))
-        }
+        Err(panic) => Err(ServiceError::Panic(panic_message(panic.as_ref()))),
     }
 }
 
@@ -992,55 +846,58 @@ mod tests {
     use crate::{CompileOptions, StageSample};
 
     /// A toy compiler: uppercases the source; `source == "BOOM"` panics,
-    /// `source == "ERR"` errors (uncoded → transient class),
-    /// `source == "SRCERR"` errors with a source-class code,
-    /// `source == "FLAKY"` fails transiently on the first attempt only,
-    /// `source == "SLOW"` spins cooperatively until cancelled, and each
-    /// compile counts its invocations so cache hits (and retries) are
-    /// observable as invocation counts.
+    /// `source == "ERR"` errors (uncoded, `E0000`), `source == "SLOW"`
+    /// spins cooperatively until cancelled, and each compile counts its
+    /// invocations so cache hits are observable as invocation counts.
     struct Toy {
         calls: AtomicU64,
-        /// Sources already attempted once (drives `FLAKY`).
-        seen: std::sync::Mutex<std::collections::HashSet<String>>,
     }
 
     impl Toy {
         fn new() -> Toy {
             Toy {
                 calls: AtomicU64::new(0),
-                seen: std::sync::Mutex::new(std::collections::HashSet::new()),
             }
         }
     }
 
     impl Compiler for Toy {
         type Artifact = String;
-        type Error = String;
 
         fn compile(
             &self,
             req: &CompileRequest,
             kinds: &[ArtifactKind],
-        ) -> Result<crate::CompileOutput<String>, String> {
+            cancel: &CancelToken,
+        ) -> Result<crate::CompileOutput<String>, FailureReport> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             match req.source.as_str() {
                 "BOOM" => panic!("toy compiler exploded"),
-                "ERR" => Err("toy compile error".to_owned()),
-                "SRCERR" => Err("source:bad program".to_owned()),
-                "FLAKY" => {
-                    let fresh = self
-                        .seen
-                        .lock()
-                        .unwrap()
-                        .insert(format!("{}:{}", req.name, req.source));
-                    if fresh {
-                        Err("transient glitch".to_owned())
-                    } else {
-                        Ok(crate::CompileOutput::new(
-                            kinds.iter().map(|k| (*k, "FLAKY-OK".to_owned())).collect(),
-                            Vec::new(),
-                        ))
+                "ERR" => Err(FailureReport::from_message("toy compile error".to_owned())),
+                "SLOW" => {
+                    // Spin in short slices like a cooperative pipeline
+                    // checking the token at pass boundaries (bounded as
+                    // a failsafe so a broken drain cannot hang the
+                    // tests), then fail with the token's code — the
+                    // shape the real pipeline produces.
+                    for _ in 0..30_000 {
+                        if let Some(reason) = cancel.state() {
+                            return Err(FailureReport {
+                                diagnostics: vec![DiagRecord {
+                                    code: reason.code(),
+                                    severity: Severity::Error,
+                                    stage: "driver",
+                                    message: "cancelled".to_owned(),
+                                    line: 0,
+                                    col: 0,
+                                }],
+                            });
+                        }
+                        thread::sleep(Duration::from_millis(1));
                     }
+                    Err(FailureReport::from_message(
+                        "slow request was never cancelled".to_owned(),
+                    ))
                 }
                 "FORGETFUL" => Ok(crate::CompileOutput::new(Vec::new(), Vec::new())),
                 src => Ok(crate::CompileOutput::new(
@@ -1073,54 +930,6 @@ mod tests {
                 })),
             }
         }
-
-        fn compile_cancellable(
-            &self,
-            req: &CompileRequest,
-            kinds: &[ArtifactKind],
-            cancel: &CancelToken,
-        ) -> Result<crate::CompileOutput<String>, String> {
-            if req.source == "SLOW" {
-                self.calls.fetch_add(1, Ordering::SeqCst);
-                // Spin in short slices like a cooperative pipeline
-                // checking the token at pass boundaries (bounded as a
-                // failsafe so a broken drain cannot hang the tests).
-                for _ in 0..30_000 {
-                    if let Some(reason) = cancel.state() {
-                        return Err(format!("cancelled:{}", reason.code()));
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-                return Err("slow request was never cancelled".to_owned());
-            }
-            self.compile(req, kinds)
-        }
-
-        fn failure_report(&self, _req: &CompileRequest, err: &String) -> FailureReport {
-            // `source:` errors carry a source-class code; `cancelled:`
-            // errors carry the cancellation code the token reported —
-            // the same shapes the real pipeline produces.
-            let coded = |code: &'static str| FailureReport {
-                diagnostics: vec![DiagRecord {
-                    code,
-                    severity: velus_common::Severity::Error,
-                    stage: "driver",
-                    message: err.clone(),
-                    line: 0,
-                    col: 0,
-                }],
-            };
-            if err.starts_with("source:") {
-                coded(codes::E0201.id)
-            } else if let Some(code) = err.strip_prefix("cancelled:") {
-                match code {
-                    "E0802" => coded(codes::E0802.id),
-                    _ => coded(codes::E0805.id),
-                }
-            } else {
-                FailureReport::from_message(err.clone())
-            }
-        }
     }
 
     fn service(workers: usize) -> CompileService<Toy> {
@@ -1128,18 +937,13 @@ mod tests {
             Toy::new(),
             ServiceConfig {
                 workers,
-                caching: true,
                 ..Default::default()
             },
         )
     }
 
-    fn fast_retry(budget: u32) -> RetryPolicy {
-        RetryPolicy {
-            budget,
-            backoff_base: Duration::from_micros(100),
-            backoff_cap: Duration::from_millis(2),
-        }
+    fn calls(svc: &CompileService<Toy>) -> u64 {
+        svc.inner.compiler.calls.load(Ordering::SeqCst)
     }
 
     #[test]
@@ -1165,14 +969,11 @@ mod tests {
             .collect();
         let cold = svc.compile_batch(reqs.clone());
         assert_eq!(cold.hit_count(), 0);
-        let calls_after_cold = svc.inner.compiler.calls.load(Ordering::SeqCst);
+        let calls_after_cold = calls(&svc);
         let warm = svc.compile_batch(reqs);
         assert_eq!(warm.hit_count(), 8);
         // The compiler ran zero additional times: the pipeline was skipped.
-        assert_eq!(
-            svc.inner.compiler.calls.load(Ordering::SeqCst),
-            calls_after_cold
-        );
+        assert_eq!(calls(&svc), calls_after_cold);
         // And the artifacts are the identical allocations.
         for (a, b) in cold.items.iter().zip(&warm.items) {
             assert!(Arc::ptr_eq(a.primary().unwrap(), b.primary().unwrap()));
@@ -1206,8 +1007,8 @@ mod tests {
         ]);
         assert_eq!(batch.ok_count(), 2);
         match &batch.items[1].result {
-            Err(ServiceError::Compile { report, .. }) => {
-                // The default failure report is the uncoded E0000 record.
+            Err(ServiceError::Compile { report }) => {
+                // An uncoded failure is the E0000 record.
                 assert_eq!(report.primary_code(), Some("E0000"));
                 assert!(report.to_string().contains("toy compile error"), "{report}");
             }
@@ -1228,21 +1029,90 @@ mod tests {
     }
 
     #[test]
-    fn caching_can_be_disabled() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                caching: false,
-                ..Default::default()
-            },
-        );
-        let req = CompileRequest::new("r", "x");
-        svc.compile_one(req.clone());
-        let report = svc.compile_one(req);
-        assert!(!report.cache_hit);
+    fn failures_compile_once_and_replay_from_the_cache() {
+        let svc = service(2);
+        let batch = || {
+            svc.compile_batch(vec![
+                CompileRequest::new("bad", "ERR"),
+                CompileRequest::new("ugly", "BOOM"),
+                CompileRequest::new("good", "fine"),
+            ])
+        };
+        let first = batch();
+        assert_eq!(calls(&svc), 3);
+        for pass in [batch(), batch()] {
+            // Neither the failing nor the panicking input reaches the
+            // compiler again, and both replay what they first failed with.
+            assert_eq!(calls(&svc), 3);
+            assert_eq!(pass.hit_count(), 3);
+            for (was, now) in first.items.iter().zip(&pass.items) {
+                match (&was.result, &now.result) {
+                    (Ok(_), Ok(_)) => {}
+                    (Err(a), Err(b)) => {
+                        assert_eq!(
+                            std::mem::discriminant(a),
+                            std::mem::discriminant(b),
+                            "{}",
+                            now.name
+                        );
+                        assert_eq!(a.failure_report().codes(), b.failure_report().codes());
+                        assert_eq!(a.to_string(), b.to_string());
+                    }
+                    _ => panic!("{}: outcome changed between passes", now.name),
+                }
+            }
+            assert!(matches!(pass.items[1].result, Err(ServiceError::Panic(_))));
+        }
+        // The counters are per request: three failed requests of each.
+        let stats = svc.stats();
+        assert_eq!((stats.errors, stats.panics), (3, 3));
+        assert_eq!(stats.failure_codes, vec![("E0000", 3)]);
+        // The same content under another name is the same function call.
+        let renamed = svc.compile_one(CompileRequest::new("bad2", "ERR"));
+        assert!(renamed.cache_hit && renamed.result.is_err());
+        assert_eq!(calls(&svc), 3);
+    }
+
+    #[test]
+    fn a_failure_replays_only_to_requests_asking_for_all_its_kinds() {
+        let svc = service(1);
+        let both = CompileOptions::for_kinds(vec![ArtifactKind::CCode, ArtifactKind::BaselineDiff]);
+        let req = CompileRequest::new("r", "ERR").with_options(both);
+        assert!(svc.compile_one(req.clone()).result.is_err());
+        assert_eq!(calls(&svc), 1);
+        // The same kind set replays.
+        assert!(svc.compile_one(req).cache_hit);
+        assert_eq!(calls(&svc), 1);
+        // A request for one of the kinds may still compile (here it
+        // fails too), and its own failure then replays.
+        let one = CompileRequest::new("r", "ERR");
+        assert!(!svc.compile_one(one.clone()).cache_hit);
+        assert!(svc.compile_one(one).cache_hit);
+        assert_eq!(calls(&svc), 2);
+    }
+
+    #[test]
+    fn an_expired_deadline_is_not_cached() {
+        let svc = service(1);
+        let slow = CompileRequest::new("slow", "SLOW");
+        let expired = svc.compile_one(slow.clone().with_deadline_ms(20));
+        assert!(matches!(
+            expired.result,
+            Err(ServiceError::DeadlineExceeded)
+        ));
+        assert_eq!(calls(&svc), 1);
         assert_eq!(svc.cache_len(), 0);
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 2);
+        // Without a deadline, the same request compiles again (and is
+        // cancelled by the drain instead of replaying E0802).
+        let sub = svc.submit(slow);
+        let began = Instant::now();
+        while calls(&svc) < 2 {
+            assert!(began.elapsed() < Duration::from_secs(10), "never compiled");
+            thread::sleep(Duration::from_millis(1));
+        }
+        svc.drain(Duration::from_millis(10));
+        assert!(matches!(sub.wait().result, Err(ServiceError::Draining)));
+        assert_eq!(svc.cache_len(), 0, "cancellations are never cached");
     }
 
     #[test]
@@ -1261,7 +1131,6 @@ mod tests {
             Toy::new(),
             ServiceConfig {
                 workers: 1,
-                caching: true,
                 cache: crate::CacheConfig {
                     max_entries: Some(1),
                     ..Default::default()
@@ -1282,7 +1151,7 @@ mod tests {
         let again = svc.compile_one(ra);
         assert!(!again.cache_hit);
         assert_eq!(**again.primary().unwrap(), "ONE");
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 3);
+        assert_eq!(calls(&svc), 3);
         assert!(svc.stats().cache_evictions >= 1);
         let _ = rb;
     }
@@ -1300,7 +1169,7 @@ mod tests {
         assert_eq!(*artifacts[1].artifact, "baseline-diff:X");
         // One compiler invocation produced both kinds; both were cached
         // under separate keys.
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(calls(&svc), 1);
         assert_eq!(svc.cache_len(), 2);
 
         // A request for just one of the kinds hits that kind's entry.
@@ -1313,7 +1182,7 @@ mod tests {
             one.artifact(&ArtifactKind::BaselineDiff).unwrap(),
             &artifacts[1].artifact
         ));
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(calls(&svc), 1);
 
         // A request widening the kind set compiles only the missing kind.
         let wider = svc.compile_one(req.with_options(CompileOptions::for_kinds(vec![
@@ -1379,45 +1248,12 @@ mod tests {
     }
 
     #[test]
-    fn cost_scheduling_reorders_submission_but_not_results() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                caching: true,
-                schedule: crate::SchedulePolicy::Cost,
-                ..Default::default()
-            },
-        );
-        // Toy's default cost hint is the source length: the longest
-        // source is submitted (and with one worker, compiled) first.
-        let reqs = vec![
-            CompileRequest::new("short", "s"),
-            CompileRequest::new("long", "the longest source of them all"),
-            CompileRequest::new("mid", "a medium one"),
-        ];
-        let batch = svc.compile_batch(reqs.clone());
-        assert_eq!(batch.ok_count(), 3);
-        // Reports stay in request order regardless of submission order.
-        let names: Vec<&str> = batch.items.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, ["short", "long", "mid"]);
-        // The model learned from the uncached compilations.
-        assert_eq!(svc.cost_model().samples(), 3);
-        // A warm batch is unaffected by scheduling: all hits.
-        let warm = svc.compile_batch(reqs);
-        assert_eq!(warm.hit_count(), 3);
-    }
-
-    #[test]
     fn a_zero_queue_cap_sheds_every_request_with_coded_errors() {
         let svc = CompileService::new(
             Toy::new(),
             ServiceConfig {
                 workers: 2,
-                admission: AdmissionConfig {
-                    queue_cap: Some(0),
-                    cost_budget_ms: None,
-                },
+                queue_cap: Some(0),
                 ..Default::default()
             },
         );
@@ -1440,99 +1276,7 @@ mod tests {
         let stats = svc.stats();
         assert_eq!((stats.shed, stats.requests), (3, 0));
         assert_eq!(stats.failure_codes, vec![("E0801", 3)]);
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn transient_failures_retry_and_succeed_within_budget() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                retry: fast_retry(2),
-                ..Default::default()
-            },
-        );
-        let report = svc.compile_one(CompileRequest::new("f", "FLAKY"));
-        assert!(report.result.is_ok(), "flaky request must succeed on retry");
-        assert_eq!(report.attempts, 2);
-        let stats = svc.stats();
-        assert_eq!((stats.retries_attempted, stats.retries_succeeded), (1, 1));
-        assert_eq!(stats.errors, 0, "the retried failure is not a failure");
-    }
-
-    #[test]
-    fn source_failures_are_never_retried() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                retry: fast_retry(3),
-                ..Default::default()
-            },
-        );
-        let report = svc.compile_one(CompileRequest::new("s", "SRCERR"));
-        assert!(matches!(
-            &report.result,
-            Err(ServiceError::Compile { report, .. }) if report.primary_code() == Some("E0201")
-        ));
-        assert_eq!(report.attempts, 1, "source-class failures never retry");
-        assert_eq!(svc.stats().retries_attempted, 0);
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn transient_retries_exhaust_their_budget_then_fail() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                retry: fast_retry(2),
-                ..Default::default()
-            },
-        );
-        // "ERR" fails identically on every attempt with the transient
-        // E0000 class: the budget is spent, then the error surfaces.
-        let report = svc.compile_one(CompileRequest::new("e", "ERR"));
-        assert!(matches!(&report.result, Err(ServiceError::Compile { .. })));
-        assert_eq!(report.attempts, 3, "1 initial + 2 retries");
-        let stats = svc.stats();
-        assert_eq!((stats.retries_attempted, stats.retries_succeeded), (2, 0));
-        assert_eq!(stats.errors, 1, "one failed request, not three");
-    }
-
-    #[test]
-    fn a_panicking_input_is_quarantined_and_rejected_on_resubmit() {
-        let svc = service(1);
-        let first = svc.compile_one(CompileRequest::new("p1", "BOOM"));
-        assert!(matches!(first.result, Err(ServiceError::Panic(_))));
-        assert_eq!(first.attempts, 1);
-        let calls = svc.inner.compiler.calls.load(Ordering::SeqCst);
-        // Same input (different name — quarantine keys on content):
-        // rejected before reaching the compiler.
-        let second = svc.compile_one(CompileRequest::new("p2", "BOOM"));
-        match &second.result {
-            Err(err @ ServiceError::Quarantined) => {
-                assert_eq!(err.failure_report().primary_code(), Some("E0803"));
-            }
-            other => panic!("expected Quarantined, got ok={}", other.is_ok()),
-        }
-        assert_eq!(second.attempts, 0);
-        assert_eq!(
-            svc.inner.compiler.calls.load(Ordering::SeqCst),
-            calls,
-            "the quarantined input never reached the compiler again"
-        );
-        let stats = svc.stats();
-        assert_eq!(
-            (stats.panics, stats.quarantine_hits, stats.quarantined),
-            (1, 1, 1)
-        );
-        // Other inputs are unaffected.
-        assert!(svc
-            .compile_one(CompileRequest::new("ok", "fine"))
-            .result
-            .is_ok());
+        assert_eq!(calls(&svc), 0);
     }
 
     #[test]
@@ -1549,7 +1293,7 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.deadline_exceeded, 1);
         assert_eq!(stats.failure_codes, vec![("E0802", 1)]);
-        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 0);
+        assert_eq!(calls(&svc), 0);
         // A generous deadline compiles normally.
         let ok = svc.compile_one(CompileRequest::new("d2", "y").with_deadline_ms(60_000));
         assert!(ok.result.is_ok());
@@ -1589,7 +1333,7 @@ mod tests {
         assert!(s1.admitted() && s2.admitted() && s3.admitted());
         // Wait until both slow compilations actually started.
         let began = Instant::now();
-        while svc.inner.compiler.calls.load(Ordering::SeqCst) < 2 {
+        while calls(&svc) < 2 {
             assert!(
                 began.elapsed() < Duration::from_secs(10),
                 "workers never started"

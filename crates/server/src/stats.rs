@@ -53,9 +53,6 @@ pub(crate) struct StatsCollector {
     warnings: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
-    retries_attempted: AtomicU64,
-    retries_succeeded: AtomicU64,
-    quarantine_hits: AtomicU64,
     drains: AtomicU64,
     drain_ns: AtomicU64,
     kinds: KindCounters,
@@ -120,21 +117,6 @@ impl StatsCollector {
         self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one retry attempt of a transient failure.
-    pub(crate) fn record_retry_attempt(&self) {
-        self.retries_attempted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request that ultimately succeeded on a retry.
-    pub(crate) fn record_retry_success(&self) {
-        self.retries_succeeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request rejected by the panic quarantine.
-    pub(crate) fn record_quarantine_hit(&self) {
-        self.quarantine_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one completed drain and its wall-clock duration.
     pub(crate) fn record_drain(&self, nanos: u64) {
         self.drains.fetch_add(1, Ordering::Relaxed);
@@ -173,12 +155,7 @@ impl StatsCollector {
         self.request_ns.record(nanos);
     }
 
-    pub(crate) fn snapshot(
-        &self,
-        cache: CacheCounters,
-        queue_depth: u64,
-        quarantined: u64,
-    ) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self, cache: CacheCounters, queue_depth: u64) -> StatsSnapshot {
         let stages = Stage::ALL
             .iter()
             .map(|stage| {
@@ -226,10 +203,7 @@ impl StatsCollector {
             warnings: self.warnings.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            retries_attempted: self.retries_attempted.load(Ordering::Relaxed),
-            retries_succeeded: self.retries_succeeded.load(Ordering::Relaxed),
-            quarantine_hits: self.quarantine_hits.load(Ordering::Relaxed),
-            quarantined,
+            retries_attempted: 0,
             drains: self.drains.load(Ordering::Relaxed),
             drain_ns: self.drain_ns.load(Ordering::Relaxed),
             failure_codes,
@@ -303,15 +277,11 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Requests that failed because their deadline expired.
     pub deadline_exceeded: u64,
-    /// Retry attempts of transient failures (each re-execution counts
-    /// one, whatever its outcome).
+    /// Always 0: the service never retries (compilation is a pure
+    /// function, so a failure is cached instead). Kept only for the
+    /// benchmark's `server.retries` row; neither the text table nor the
+    /// Prometheus output shows it.
     pub retries_attempted: u64,
-    /// Requests that ultimately succeeded on a retry.
-    pub retries_succeeded: u64,
-    /// Requests rejected because their input digest was quarantined.
-    pub quarantine_hits: u64,
-    /// Input digests held by the panic quarantine at snapshot time.
-    pub quarantined: u64,
     /// Graceful drains performed (usually 0 or 1 per service lifetime).
     pub drains: u64,
     /// Total wall-clock nanoseconds spent draining.
@@ -438,30 +408,6 @@ impl StatsSnapshot {
             &[],
             self.deadline_exceeded as f64,
         );
-        w.header(
-            "retries_total",
-            "Retry attempts of transient failures.",
-            "counter",
-        );
-        w.sample("retries_total", &[], self.retries_attempted as f64);
-        w.header(
-            "retry_successes_total",
-            "Requests that succeeded on a retry.",
-            "counter",
-        );
-        w.sample("retry_successes_total", &[], self.retries_succeeded as f64);
-        w.header(
-            "quarantine_hits_total",
-            "Requests rejected by the panic quarantine.",
-            "counter",
-        );
-        w.sample("quarantine_hits_total", &[], self.quarantine_hits as f64);
-        w.header(
-            "quarantined",
-            "Input digests currently quarantined.",
-            "gauge",
-        );
-        w.sample("quarantined", &[], self.quarantined as f64);
         w.header("drains_total", "Graceful drains performed.", "counter");
         w.sample("drains_total", &[], self.drains as f64);
         w.header(
@@ -623,14 +569,9 @@ impl std::fmt::Display for StatsSnapshot {
         }
         writeln!(
             f,
-            "robustness: shed {}  deadline-exceeded {}  retries {}/{}  \
-             quarantine {} held / {} hits  drains {} ({})",
+            "robustness: shed {}  deadline-exceeded {}  drains {} ({})",
             self.shed,
             self.deadline_exceeded,
-            self.retries_succeeded,
-            self.retries_attempted,
-            self.quarantined,
-            self.quarantine_hits,
             self.drains,
             fmt_nanos(self.drain_ns)
         )?;
@@ -727,8 +668,8 @@ mod tests {
         for &s in samples[5000..].iter().chain(&samples[..5000]) {
             rotated.record_latency(s);
         }
-        let a = forward.snapshot(CacheCounters::default(), 0, 0);
-        let b = rotated.snapshot(CacheCounters::default(), 0, 0);
+        let a = forward.snapshot(CacheCounters::default(), 0);
+        let b = rotated.snapshot(CacheCounters::default(), 0);
         assert_eq!(a.request_p50_nanos, b.request_p50_nanos);
         assert_eq!(a.request_p999_nanos, b.request_p999_nanos);
         assert_eq!(a.request_count, 10_000);
@@ -751,7 +692,7 @@ mod tests {
             },
         ]);
         c.record_latency(110);
-        let snap = c.snapshot(CacheCounters::default(), 0, 0);
+        let snap = c.snapshot(CacheCounters::default(), 0);
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.cache_misses, 1);
         let frontend = &snap.stages[Stage::Frontend.index()];
@@ -776,7 +717,7 @@ mod tests {
             },
             false,
         );
-        let snap = c.snapshot(CacheCounters::default(), 0, 0);
+        let snap = c.snapshot(CacheCounters::default(), 0);
         let row = |name: &str| *snap.kinds.iter().find(|k| k.kind == name).unwrap();
         assert_eq!(
             (row("c").requests, row("c").hits, row("c").misses),
@@ -803,12 +744,8 @@ mod tests {
         c.record_shed();
         c.record_shed();
         c.record_deadline_exceeded();
-        c.record_retry_attempt();
-        c.record_retry_attempt();
-        c.record_retry_success();
-        c.record_quarantine_hit();
         c.record_drain(2_000_000_000);
-        let snap = c.snapshot(CacheCounters::default(), 3, 1);
+        let snap = c.snapshot(CacheCounters::default(), 3);
         let text = snap.render_prometheus();
         velus_obs::prom::check(&text).expect("exposition must validate");
         assert!(text.contains("velus_failures_total{code=\"E0201\",class=\"source\"} 1"));
@@ -825,24 +762,16 @@ mod tests {
         // The robustness counters render and validate too.
         assert!(text.contains("velus_shed_total 2"));
         assert!(text.contains("velus_deadline_exceeded_total 1"));
-        assert!(text.contains("velus_retries_total 2"));
-        assert!(text.contains("velus_retry_successes_total 1"));
-        assert!(text.contains("velus_quarantine_hits_total 1"));
-        assert!(text.contains("velus_quarantined 1"));
         assert!(text.contains("velus_drains_total 1"));
         assert!(text.contains("velus_drain_seconds_total 2"));
         // …and the plain-text table carries the robustness row.
         let table = snap.to_string();
         assert!(
-            table.contains("robustness: shed 2  deadline-exceeded 1  retries 1/2"),
+            table.contains("robustness: shed 2  deadline-exceeded 1  drains 1"),
             "{table}"
         );
         assert!(
             table.contains("lint findings by code: W0102:2  W0104:1"),
-            "{table}"
-        );
-        assert!(
-            table.contains("quarantine 1 held / 1 hits  drains 1"),
             "{table}"
         );
     }
@@ -863,7 +792,7 @@ mod tests {
                 });
             }
         });
-        let snap = c.snapshot(CacheCounters::default(), 0, 0);
+        let snap = c.snapshot(CacheCounters::default(), 0);
         let check = &snap.stages[Stage::Check.index()];
         assert_eq!(check.count, 2000);
         assert!(check.p50_nanos >= 1000 && check.p99_nanos <= 1600);

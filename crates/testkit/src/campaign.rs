@@ -41,13 +41,13 @@ use velus::passes::{
     GeneratePass, PassManager, SchedulePass, TranslatePass,
 };
 use velus::{Compiled, TestIo, VelusError};
-use velus_common::{Ident, SpanMap};
+use velus_common::{json_escape, Ident, SpanMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_ops::{CConst, CTy, CVal, ClightOps, Literal, Ops};
 
 use crate::gen::{gen_inputs, gen_program, GenConfig};
-use crate::json::{escape_into, Json};
+use crate::json::Json;
 use crate::mutate::mutate;
 use crate::render::lustre_source;
 
@@ -928,20 +928,14 @@ pub fn render_record(rep: &Reproducer) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\n");
     let field = |out: &mut String, key: &str, val: &str, last: bool| {
-        out.push_str("  ");
-        escape_into(key, out);
-        out.push_str(": ");
+        out.push_str(&format!("  \"{}\": ", json_escape(key)));
         out.push_str(val);
         if !last {
             out.push(',');
         }
         out.push('\n');
     };
-    let s = |v: &str| {
-        let mut b = String::new();
-        escape_into(v, &mut b);
-        b
-    };
+    let s = |v: &str| format!("\"{}\"", json_escape(v));
     field(&mut out, "format", &RECORD_FORMAT.to_string(), false);
     field(&mut out, "seed", &rep.seed.to_string(), false);
     field(&mut out, "profile", &s(&rep.profile), false);
@@ -987,7 +981,7 @@ pub fn render_record(rep: &Reproducer) -> String {
                     if i > 0 {
                         b.push_str(", ");
                     }
-                    escape_into(&sval_token(v), &mut b);
+                    b.push_str(&s(&sval_token(v)));
                 }
                 b.push(']');
             }

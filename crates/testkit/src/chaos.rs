@@ -1,46 +1,43 @@
 //! Deterministic fault injection for the compilation service: a
-//! [`ChaosCompiler`] wraps any [`Compiler`] and injects seeded panics,
-//! transient failures, and delays, keyed on the request *content* so a
-//! given `(seed, source)` pair always misbehaves the same way.
+//! [`ChaosCompiler`] wraps any [`Compiler`] and injects seeded panics and
+//! delays, keyed on the request *content* so a given `(seed, source)`
+//! pair always misbehaves the same way.
 //!
-//! The fault classes map one-to-one onto the serving layer's
-//! fault-tolerance mechanisms, so the chaos bench (`velus-bench --bin
-//! chaos`) can drive each of them on purpose:
+//! The fault classes map onto the serving layer's fault-tolerance
+//! mechanisms, so the chaos bench (`velus-bench --bin chaos`) can drive
+//! each of them on purpose:
 //!
-//! * **sticky panics** — the same input panics on every attempt,
-//!   exercising per-request containment and the panic quarantine;
-//! * **transient failures** — the *first* attempt on an input fails
-//!   with an uncoded (→ transient-class) error and every later attempt
-//!   succeeds, exercising retry-with-backoff (the
-//!   [`ChaosStats::recovered_transients`] / `injected_transients` ratio
-//!   is the bench's retry-success metric);
+//! * **sticky panics** — the same input panics on every compile,
+//!   exercising per-request containment and the failure cache;
 //! * **delays** — a fixed sleep in ~1 ms slices that watches the
 //!   request's [`CancelToken`], exercising deadlines and drain
 //!   cancellation inside "compilation".
+//!
+//! The wrapper also counts how often each failing input reaches the
+//! compiler ([`ChaosStats::repeat_failures`]): the service caches
+//! failures, so a failing input must compile at most once per content.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use velus_common::codes;
 use velus_server::{
-    ArtifactKind, CancelToken, CompileOutput, CompileRequest, Compiler, FailureReport,
+    ArtifactKind, CacheKey, CancelToken, CompileOutput, CompileRequest, Compiler, FailureReport,
 };
 
 /// Fault rates (per mille of requests) and shapes. Rates are applied in
-/// order — panic, transient, delay — over one deterministic roll per
-/// input, so `panic_per_mille + transient_per_mille + delay_per_mille`
-/// must stay ≤ 1000 (the remainder compiles cleanly).
+/// order — panic, delay — over one deterministic roll per input, so
+/// `panic_per_mille + delay_per_mille` must stay ≤ 1000 (the remainder
+/// compiles cleanly).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Seed mixed into every per-input roll: different seeds assign
     /// faults to different inputs.
     pub seed: u64,
-    /// Fraction of inputs (per mille) that panic on every attempt.
+    /// Fraction of inputs (per mille) that panic on every compile.
     pub panic_per_mille: u32,
-    /// Fraction of inputs (per mille) whose first attempt fails
-    /// transiently.
-    pub transient_per_mille: u32,
     /// Fraction of inputs (per mille) delayed before compiling.
     pub delay_per_mille: u32,
     /// How long a delayed input sleeps before compiling.
@@ -52,7 +49,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             seed: 0,
             panic_per_mille: 20,
-            transient_per_mille: 200,
             delay_per_mille: 100,
             delay: Duration::from_millis(5),
         }
@@ -62,37 +58,17 @@ impl Default for ChaosConfig {
 /// What the injector did so far (all counters monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosStats {
-    /// Panics injected (one per *attempt* on a panic-class input).
+    /// Panics injected (one per compile of a panic-class input).
     pub injected_panics: u64,
-    /// Inputs whose first attempt was failed transiently.
-    pub injected_transients: u64,
-    /// Transiently-failed inputs that later compiled successfully —
-    /// `recovered_transients / injected_transients` is the
-    /// retry-success rate the chaos bench asserts on.
-    pub recovered_transients: u64,
-    /// Delays injected (one per attempt on a delay-class input).
+    /// Delays injected (one per compile of a delay-class input).
     pub injected_delays: u64,
-}
-
-/// The error type of a [`ChaosCompiler`]: an injected fault or the
-/// wrapped compiler's own failure.
-#[derive(Debug)]
-pub enum ChaosError<E> {
-    /// A fault injected by the chaos layer (never the inner compiler's
-    /// fault). The message is uncoded, so the service classifies it as
-    /// transient and retries it.
-    Injected(&'static str),
-    /// The wrapped compiler's own error, passed through.
-    Inner(E),
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for ChaosError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChaosError::Injected(kind) => write!(f, "chaos: injected {kind}"),
-            ChaosError::Inner(e) => e.fmt(f),
-        }
-    }
+    /// Distinct `(content, kind)` keys whose compile failed or panicked.
+    pub failing_inputs: u64,
+    /// Compiles of a `(content, kind)` key that had already failed or
+    /// panicked before: 0 while the service's failure cache holds.
+    /// Cancellations (`E0802`/`E0805`) are not failures of the input and
+    /// are not counted.
+    pub repeat_failures: u64,
 }
 
 /// FNV-1a over the request source, mixed with the seed — the same
@@ -118,43 +94,37 @@ fn mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fault {
     Panic,
-    Transient,
     Delay,
     None,
 }
 
 /// A [`Compiler`] decorator injecting deterministic, seeded faults.
-/// Everything else — artifacts, cost hints, failure reports — delegates
-/// to the wrapped compiler.
+/// Everything else — artifacts, failure reports — delegates to the
+/// wrapped compiler.
 pub struct ChaosCompiler<C> {
     inner: C,
     config: ChaosConfig,
-    /// Digests whose transient fault already fired (first attempt
-    /// consumed) and those that went on to recover.
-    transient_fired: Mutex<HashSet<u64>>,
-    transient_recovered: Mutex<HashSet<u64>>,
+    /// Every `(content, kind)` key whose compile failed or panicked.
+    failed: Mutex<HashSet<CacheKey>>,
     injected_panics: AtomicU64,
-    injected_transients: AtomicU64,
-    recovered_transients: AtomicU64,
     injected_delays: AtomicU64,
+    repeat_failures: AtomicU64,
 }
 
 impl<C> ChaosCompiler<C> {
     /// Wraps `inner` with the given fault plan.
     pub fn new(inner: C, config: ChaosConfig) -> ChaosCompiler<C> {
         assert!(
-            config.panic_per_mille + config.transient_per_mille + config.delay_per_mille <= 1000,
+            config.panic_per_mille + config.delay_per_mille <= 1000,
             "fault rates exceed 100%"
         );
         ChaosCompiler {
             inner,
             config,
-            transient_fired: Mutex::new(HashSet::new()),
-            transient_recovered: Mutex::new(HashSet::new()),
+            failed: Mutex::new(HashSet::new()),
             injected_panics: AtomicU64::new(0),
-            injected_transients: AtomicU64::new(0),
-            recovered_transients: AtomicU64::new(0),
             injected_delays: AtomicU64::new(0),
+            repeat_failures: AtomicU64::new(0),
         }
     }
 
@@ -162,70 +132,49 @@ impl<C> ChaosCompiler<C> {
     pub fn chaos_stats(&self) -> ChaosStats {
         ChaosStats {
             injected_panics: self.injected_panics.load(Ordering::Relaxed),
-            injected_transients: self.injected_transients.load(Ordering::Relaxed),
-            recovered_transients: self.recovered_transients.load(Ordering::Relaxed),
             injected_delays: self.injected_delays.load(Ordering::Relaxed),
+            failing_inputs: self.failed.lock().expect("chaos lock").len() as u64,
+            repeat_failures: self.repeat_failures.load(Ordering::Relaxed),
         }
-    }
-
-    /// The fault class a source is assigned under this configuration
-    /// (exposed so benches can predict / partition their corpora).
-    pub fn is_faulted(&self, source: &str) -> bool {
-        self.fault_for(content_digest(source, self.config.seed)) != Fault::None
     }
 
     fn fault_for(&self, digest: u64) -> Fault {
         let roll = (mix(digest) % 1000) as u32;
         if roll < self.config.panic_per_mille {
             Fault::Panic
-        } else if roll < self.config.panic_per_mille + self.config.transient_per_mille {
-            Fault::Transient
-        } else if roll
-            < self.config.panic_per_mille
-                + self.config.transient_per_mille
-                + self.config.delay_per_mille
-        {
+        } else if roll < self.config.panic_per_mille + self.config.delay_per_mille {
             Fault::Delay
         } else {
             Fault::None
         }
     }
 
-    fn run<Out>(
+    /// Records a failed (or panicking) compile of `req` for `kinds`,
+    /// counting the keys that had failed before.
+    fn record_failure(&self, req: &CompileRequest, kinds: &[ArtifactKind]) {
+        let mut failed = self.failed.lock().expect("chaos lock");
+        for kind in kinds {
+            if !failed.insert(CacheKey::of_request(req, kind)) {
+                self.repeat_failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl<C: Compiler> Compiler for ChaosCompiler<C> {
+    type Artifact = C::Artifact;
+
+    fn compile(
         &self,
-        source: &str,
-        cancel: Option<&CancelToken>,
-        inner: impl FnOnce() -> Result<Out, ChaosError<<C as Compiler>::Error>>,
-    ) -> Result<Out, ChaosError<<C as Compiler>::Error>>
-    where
-        C: Compiler,
-    {
-        let digest = content_digest(source, self.config.seed);
-        match self.fault_for(digest) {
+        req: &CompileRequest,
+        kinds: &[ArtifactKind],
+        cancel: &CancelToken,
+    ) -> Result<CompileOutput<C::Artifact>, FailureReport> {
+        match self.fault_for(content_digest(&req.source, self.config.seed)) {
             Fault::Panic => {
                 self.injected_panics.fetch_add(1, Ordering::Relaxed);
+                self.record_failure(req, kinds);
                 panic!("chaos: injected panic");
-            }
-            Fault::Transient => {
-                if self
-                    .transient_fired
-                    .lock()
-                    .expect("chaos lock")
-                    .insert(digest)
-                {
-                    self.injected_transients.fetch_add(1, Ordering::Relaxed);
-                    return Err(ChaosError::Injected("transient fault"));
-                }
-                let out = inner()?;
-                if self
-                    .transient_recovered
-                    .lock()
-                    .expect("chaos lock")
-                    .insert(digest)
-                {
-                    self.recovered_transients.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(out)
             }
             Fault::Delay => {
                 self.injected_delays.fetch_add(1, Ordering::Relaxed);
@@ -234,58 +183,25 @@ impl<C> ChaosCompiler<C> {
                 // sleeping and let the inner compiler's own pass-boundary
                 // check surface the coded condition.
                 let mut left = self.config.delay;
-                while !left.is_zero() {
-                    if cancel.is_some_and(|t| t.state().is_some()) {
-                        break;
-                    }
+                while !left.is_zero() && cancel.state().is_none() {
                     let slice = left.min(Duration::from_millis(1));
                     std::thread::sleep(slice);
                     left = left.saturating_sub(slice);
                 }
-                inner()
             }
-            Fault::None => inner(),
+            Fault::None => {}
         }
-    }
-}
-
-impl<C: Compiler> Compiler for ChaosCompiler<C> {
-    type Artifact = C::Artifact;
-    type Error = ChaosError<C::Error>;
-
-    fn compile(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
-    ) -> Result<CompileOutput<C::Artifact>, Self::Error> {
-        self.run(&req.source, None, || {
-            self.inner.compile(req, kinds).map_err(ChaosError::Inner)
-        })
-    }
-
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
-        cancel: &CancelToken,
-    ) -> Result<CompileOutput<C::Artifact>, Self::Error> {
-        self.run(&req.source, Some(cancel), || {
-            self.inner
-                .compile_cancellable(req, kinds, cancel)
-                .map_err(ChaosError::Inner)
-        })
-    }
-
-    fn failure_report(&self, req: &CompileRequest, err: &Self::Error) -> FailureReport {
-        match err {
-            // Uncoded → E0000 → transient class → the service retries.
-            ChaosError::Injected(_) => FailureReport::from_message(err.to_string()),
-            ChaosError::Inner(e) => self.inner.failure_report(req, e),
+        let out = self.inner.compile(req, kinds, cancel);
+        if let Err(report) = &out {
+            let cancelled = report
+                .codes()
+                .iter()
+                .any(|c| *c == codes::E0802.id || *c == codes::E0805.id);
+            if !cancelled {
+                self.record_failure(req, kinds);
+            }
         }
-    }
-
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        self.inner.cost_hint(req)
+        out
     }
 
     fn artifact_bytes(artifact: &C::Artifact) -> usize {
@@ -297,18 +213,21 @@ impl<C: Compiler> Compiler for ChaosCompiler<C> {
 mod tests {
     use super::*;
 
-    /// Uppercases the source; never fails on its own.
+    /// Uppercases the source; fails on sources starting with `bad`.
     struct Upper;
 
     impl Compiler for Upper {
         type Artifact = String;
-        type Error = String;
 
         fn compile(
             &self,
             req: &CompileRequest,
             kinds: &[ArtifactKind],
-        ) -> Result<CompileOutput<String>, String> {
+            _cancel: &CancelToken,
+        ) -> Result<CompileOutput<String>, FailureReport> {
+            if req.source.starts_with("bad") {
+                return Err(FailureReport::from_message("bad source".to_owned()));
+            }
             Ok(CompileOutput::new(
                 kinds
                     .iter()
@@ -324,6 +243,16 @@ mod tests {
             .map(|i| format!("src-{i}"))
             .find(|s| chaos.fault_for(content_digest(s, chaos.config.seed)) == fault)
             .expect("fault class must be reachable at these rates")
+    }
+
+    fn compile(chaos: &ChaosCompiler<Upper>, source: &str) -> Result<String, FailureReport> {
+        chaos
+            .compile(
+                &CompileRequest::new("r", source),
+                &[ArtifactKind::CCode],
+                &CancelToken::unbounded(),
+            )
+            .map(|out| out.artifacts[0].1.clone())
     }
 
     #[test]
@@ -356,41 +285,42 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_fail_once_then_recover() {
+    fn panic_faults_are_sticky_and_repeats_are_counted() {
         let chaos = ChaosCompiler::new(Upper, ChaosConfig::default());
-        let src = first_source_with(&chaos, Fault::Transient);
-        let req = CompileRequest::new("t", src);
-        let kinds = [ArtifactKind::CCode];
-        assert!(matches!(
-            chaos.compile(&req, &kinds),
-            Err(ChaosError::Injected(_))
-        ));
-        let out = chaos
-            .compile(&req, &kinds)
-            .expect("second attempt succeeds");
-        assert_eq!(out.artifacts.len(), 1);
+        let src = first_source_with(&chaos, Fault::Panic);
+        for _ in 0..2 {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = compile(&chaos, &src);
+            }));
+            assert!(caught.is_err(), "panic-class inputs panic on every compile");
+        }
         let stats = chaos.chaos_stats();
         assert_eq!(
-            (stats.injected_transients, stats.recovered_transients),
-            (1, 1)
+            (
+                stats.injected_panics,
+                stats.failing_inputs,
+                stats.repeat_failures
+            ),
+            (2, 1, 1)
         );
-        // A third attempt does not double-count the recovery.
-        let _ = chaos.compile(&req, &kinds);
-        assert_eq!(chaos.chaos_stats().recovered_transients, 1);
     }
 
     #[test]
-    fn panic_faults_are_sticky() {
-        let chaos = ChaosCompiler::new(Upper, ChaosConfig::default());
-        let src = first_source_with(&chaos, Fault::Panic);
-        let req = CompileRequest::new("p", src);
-        for _ in 0..2 {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = chaos.compile(&req, &[ArtifactKind::CCode]);
-            }));
-            assert!(caught.is_err(), "panic-class inputs panic on every attempt");
-        }
-        assert_eq!(chaos.chaos_stats().injected_panics, 2);
+    fn inner_failures_count_but_cancellations_do_not() {
+        let chaos = ChaosCompiler::new(
+            Upper,
+            ChaosConfig {
+                panic_per_mille: 0,
+                delay_per_mille: 0,
+                ..ChaosConfig::default()
+            },
+        );
+        assert!(compile(&chaos, "bad one").is_err());
+        assert!(compile(&chaos, "bad two").is_err());
+        assert_eq!(chaos.chaos_stats().repeat_failures, 0);
+        assert!(compile(&chaos, "bad one").is_err());
+        let stats = chaos.chaos_stats();
+        assert_eq!((stats.failing_inputs, stats.repeat_failures), (2, 1));
     }
 
     #[test]
@@ -409,7 +339,7 @@ mod tests {
         let started = std::time::Instant::now();
         // The 60 s delay collapses because the token is already fired;
         // the inner compiler (which ignores the token) then succeeds.
-        let out = chaos.compile_cancellable(&req, &[ArtifactKind::CCode], &token);
+        let out = chaos.compile(&req, &[ArtifactKind::CCode], &token);
         assert!(started.elapsed() < Duration::from_secs(10));
         assert!(out.is_ok());
         assert_eq!(chaos.chaos_stats().injected_delays, 1);
@@ -419,13 +349,7 @@ mod tests {
     fn clean_inputs_pass_through_untouched() {
         let chaos = ChaosCompiler::new(Upper, ChaosConfig::default());
         let src = first_source_with(&chaos, Fault::None);
-        let out = chaos
-            .compile(
-                &CompileRequest::new("c", src.clone()),
-                &[ArtifactKind::CCode],
-            )
-            .expect("clean input compiles");
-        assert_eq!(out.artifacts[0].1, src.to_uppercase());
+        assert_eq!(compile(&chaos, &src).unwrap(), src.to_uppercase());
         assert_eq!(chaos.chaos_stats(), ChaosStats::default());
     }
 }

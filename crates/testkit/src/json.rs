@@ -1,12 +1,14 @@
-//! A minimal JSON reader (and string-escaping helper) for the campaign
-//! reproducer records.
+//! The workspace's one JSON reader.
 //!
 //! The workspace hand-rolls its JSON *writers* (diagnostics, stats,
-//! traces); the seed-corpus replay test is the first consumer that must
-//! *read* JSON back, so this module provides a small recursive-descent
-//! parser for the subset those records use: objects, arrays, strings
-//! with escapes, numbers, and the three literals. Numbers keep their
-//! raw text so 64-bit seeds survive without a float round trip.
+//! traces, campaign records), all escaping strings with
+//! [`velus_common::json_escape`]. This module reads JSON back: a small
+//! recursive-descent parser for objects, arrays, strings with escapes,
+//! numbers, and the three literals. The seed-corpus replay reads the
+//! campaign reproducer records with it, and the `jsoncheck` binary, the
+//! benches and the tests use it to assert that emitted documents are
+//! well-formed. Numbers keep their raw text so 64-bit seeds survive
+//! without a float round trip.
 
 use std::collections::BTreeMap;
 
@@ -225,25 +227,6 @@ fn value(b: &[u8], i: usize) -> Result<(Json, usize), String> {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-pub fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +246,12 @@ mod tests {
     }
 
     #[test]
+    fn accepts_the_diagnostics_shapes() {
+        parse(r#"{"diagnostics":[],"errors":0,"warnings":0}"#).unwrap();
+        parse(r#"{"a":[1,2.5,-3e4,"x\"y",true,null],"b":{}}"#).unwrap();
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         assert!(parse(r#"{"a": 1"#).is_err());
         assert!(parse(r#"{"a": 1} x"#).is_err());
@@ -272,8 +261,7 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        let mut out = String::new();
-        escape_into("a\"b\\c\nd\u{1}", &mut out);
+        let out = format!("\"{}\"", velus_common::json_escape("a\"b\\c\nd\u{1}"));
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some("a\"b\\c\nd\u{1}"));
     }

@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let svc = service(ServiceConfig {
         workers: 4,
-        caching: true,
         ..Default::default()
     });
 

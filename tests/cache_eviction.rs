@@ -108,7 +108,6 @@ fn evicted_program_recompiles_and_reverifies() {
 
     let svc = service(ServiceConfig {
         workers: 1,
-        caching: true,
         cache: CacheConfig {
             max_entries: Some(2),
             ..Default::default()

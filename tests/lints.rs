@@ -117,7 +117,7 @@ fn lint_corpus_matches_goldens_and_is_fully_coded() {
         }
         let human = findings.render_human(&src);
         let json = findings.render_json(&src);
-        velus_bench::json::check(&json)
+        velus_testkit::json::parse(&json)
             .unwrap_or_else(|e| panic!("{name}: bad JSON ({e}):\n{json}"));
         check_golden(&name, "human", &human);
         check_golden(&name, "json", &json);

@@ -30,7 +30,6 @@ fn stage_count(stats: &velus::service::StatsSnapshot, stage: Stage) -> u64 {
 fn wcet_only_entries_round_trip_without_materializing_c() {
     let svc = service(ServiceConfig {
         workers: 2,
-        caching: true,
         ..Default::default()
     });
     let req = benchmark_request("tracker", vec![WCET_CC]);
@@ -61,7 +60,6 @@ fn wcet_only_entries_round_trip_without_materializing_c() {
 fn mixed_batches_compile_the_front_half_exactly_once_per_source() {
     let svc = service(ServiceConfig {
         workers: 2,
-        caching: true,
         ..Default::default()
     });
     let names = ["tracker", "count", "cruise", "watchdog3"];
@@ -112,7 +110,6 @@ fn mixed_batches_compile_the_front_half_exactly_once_per_source() {
 fn widening_the_kind_set_reuses_the_cached_kinds() {
     let svc = service(ServiceConfig {
         workers: 1,
-        caching: true,
         ..Default::default()
     });
     let c_only = svc.compile_one(benchmark_request("count", vec![ArtifactKind::CCode]));
@@ -139,7 +136,6 @@ fn widening_the_kind_set_reuses_the_cached_kinds() {
 fn dump_and_baseline_artifacts_serve_and_cache() {
     let svc = service(ServiceConfig {
         workers: 1,
-        caching: true,
         ..Default::default()
     });
     let kinds = vec![

@@ -5,6 +5,9 @@
 //!   with `DeadlineExceeded` before any pass runs, coded `E0802`.
 //! * **Load shedding** — a zero-capacity admission queue sheds every
 //!   asynchronous submission with `Overloaded`, coded `E0801`.
+//! * **Worker stacks** — a program deep enough to overflow a 2 MiB
+//!   thread stack compiles through the service's workers as it does
+//!   through `velus compile`.
 //! * **Goldens** — the JSON renderings of the service-level rejections
 //!   are pinned under `tests/errors/golden/service_*.json` (regenerate
 //!   with `VELUS_REGEN_GOLDEN=1 cargo test --test robustness`), so the
@@ -12,7 +15,7 @@
 
 use velus::service::{service, ServiceConfig};
 use velus::CompileRequest;
-use velus_server::{AdmissionConfig, ServiceError};
+use velus_server::ServiceError;
 
 const PROGRAM: &str = "node main(x: int) returns (y: int)\n\
                        var acc: int;\n\
@@ -54,7 +57,7 @@ fn an_expired_deadline_fails_the_real_pipeline_with_e0802() {
     assert!(matches!(err, ServiceError::DeadlineExceeded), "{err}");
     let failure = err.failure_report();
     assert_eq!(failure.primary_code(), Some("E0802"));
-    velus_bench::json::check(&failure.render_json()).expect("well-formed JSON rendering");
+    velus_testkit::json::parse(&failure.render_json()).expect("well-formed JSON rendering");
     let stats = svc.stats();
     assert_eq!(stats.deadline_exceeded, 1);
     assert!(stats.failure_codes.contains(&("E0802", 1)));
@@ -65,10 +68,7 @@ fn an_expired_deadline_fails_the_real_pipeline_with_e0802() {
 fn a_full_admission_queue_sheds_submissions_with_e0801() {
     let svc = service(ServiceConfig {
         workers: 1,
-        admission: AdmissionConfig {
-            queue_cap: Some(0),
-            cost_budget_ms: None,
-        },
+        queue_cap: Some(0),
         ..Default::default()
     });
     let sub = svc.submit(CompileRequest::new("shed", PROGRAM));
@@ -81,7 +81,7 @@ fn a_full_admission_queue_sheds_submissions_with_e0801() {
     assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
     let failure = err.failure_report();
     assert_eq!(failure.primary_code(), Some("E0801"));
-    velus_bench::json::check(&failure.render_json()).expect("well-formed JSON rendering");
+    velus_testkit::json::parse(&failure.render_json()).expect("well-formed JSON rendering");
     let stats = svc.stats();
     assert_eq!(stats.shed, 1);
     assert!(stats.failure_codes.contains(&("E0801", 1)));
@@ -100,4 +100,54 @@ fn a_sane_deadline_lets_the_real_pipeline_finish() {
     );
     assert_eq!(report.attempts, 1);
     assert_eq!(svc.stats().deadline_exceeded, 0);
+}
+
+/// One equation `y = if x = 0 then 1 else if x = 1 then 2 … else 0`.
+fn if_nest(depth: usize) -> String {
+    let mut s = String::from("node if_nest(x: int) returns (y: int)\nlet\n  y = ");
+    for k in 0..depth {
+        s.push_str(&format!("if x = {k} then {} else ", k + 1));
+    }
+    s.push_str("0;\ntel\n");
+    s
+}
+
+/// One node whose equations form one chain `v_k = v_{k-1} + 1`.
+fn eq_chain(len: usize) -> String {
+    let vars: Vec<String> = (0..len).map(|k| format!("v{k}")).collect();
+    let mut s = format!(
+        "node eq_chain(x: int) returns (y: int)\nvar {}: int;\nlet\n  v0 = x;\n",
+        vars.join(", ")
+    );
+    for k in 1..len {
+        s.push_str(&format!("  v{k} = v{} + 1;\n", k - 1));
+    }
+    s.push_str(&format!("  y = v{};\ntel\n", len - 1));
+    s
+}
+
+#[test]
+fn deep_programs_compile_on_the_service_workers() {
+    // Sized to overflow a 2 MiB stack yet fit the workers' 8 MiB; debug
+    // frames are larger, so the debug profile needs smaller programs.
+    let (depth, len) = if cfg!(debug_assertions) {
+        (750, 1000)
+    } else {
+        (4000, 3000)
+    };
+    let svc = service(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let batch = svc.compile_batch(vec![
+        CompileRequest::new("if_nest", if_nest(depth)),
+        CompileRequest::new("eq_chain", eq_chain(len)),
+    ]);
+    for item in &batch.items {
+        let c = match &item.result {
+            Ok(_) => item.primary().unwrap().c_code().unwrap(),
+            Err(e) => panic!("{}: {e}", item.name),
+        };
+        assert!(c.contains(&format!("{}__step", item.name)), "{}", item.name);
+    }
 }

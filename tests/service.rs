@@ -31,7 +31,6 @@ fn generated_corpus() -> Vec<CompileRequest> {
 fn warm_hit_skips_the_pipeline_and_reemits_identical_c() {
     let svc = service(ServiceConfig {
         workers: 2,
-        caching: true,
         ..Default::default()
     });
     let names = ["tracker", "count", "cruise", "watchdog3"];
@@ -91,7 +90,6 @@ fn batch_output_is_deterministic_for_any_worker_count() {
     for workers in [1, 4] {
         let svc = service(ServiceConfig {
             workers,
-            caching: true,
             ..Default::default()
         });
         let report = svc.compile_batch(reqs.clone());
@@ -118,10 +116,9 @@ fn batch_output_is_deterministic_for_any_worker_count() {
 fn failing_requests_do_not_poison_the_batch_or_the_pool() {
     let svc = service(ServiceConfig {
         workers: 2,
-        caching: true,
         ..Default::default()
     });
-    let batch = svc.compile_batch(vec![
+    let requests = vec![
         benchmark_request("tracker"),
         CompileRequest::new("syntax", "node broken( returns"),
         CompileRequest::new(
@@ -130,7 +127,8 @@ fn failing_requests_do_not_poison_the_batch_or_the_pool() {
         )
         .with_root("nonexistent"),
         benchmark_request("count"),
-    ]);
+    ];
+    let batch = svc.compile_batch(requests.clone());
     assert_eq!(batch.ok_count(), 2);
     // Failures are structured: stable codes, stages, positions.
     match &batch.items[1].result {
@@ -149,12 +147,20 @@ fn failing_requests_do_not_poison_the_batch_or_the_pool() {
         other => panic!("expected a compile error, ok={}", other.is_ok()),
     }
 
-    // The pool is alive and the failures were not cached.
-    let again = svc.compile_batch(vec![benchmark_request("tracker")]);
-    assert_eq!(again.ok_count(), 1);
-    assert!(again.items[0].cache_hit);
+    // The pool is alive, and the failures were cached like the
+    // artifacts: resubmitted, every request is answered from the cache
+    // and each failure replays its codes without running the pipeline.
+    let again = svc.compile_batch(requests);
+    assert_eq!(again.ok_count(), 2);
+    assert_eq!(again.hit_count(), 4);
+    for (cold, warm) in batch.items.iter().zip(&again.items) {
+        if let (Err(a), Err(b)) = (&cold.result, &warm.result) {
+            assert_eq!(a.failure_report().codes(), b.failure_report().codes());
+        }
+    }
     let stats = svc.stats();
-    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.cache_misses, 4, "only the cold batch compiled");
+    assert_eq!(stats.errors, 4);
     assert_eq!(stats.panics, 0);
 }
 
@@ -162,7 +168,6 @@ fn failing_requests_do_not_poison_the_batch_or_the_pool() {
 fn io_mode_caches_separately_and_changes_the_artifact() {
     let svc = service(ServiceConfig {
         workers: 2,
-        caching: true,
         ..Default::default()
     });
     let volatile = svc.compile_one(benchmark_request("tracker"));
@@ -185,7 +190,6 @@ fn generated_corpus_scales_across_workers_without_result_change() {
     let reqs = generated_corpus();
     let svc = service(ServiceConfig {
         workers: 8,
-        caching: true,
         ..Default::default()
     });
     let report = svc.compile_batch(reqs);
