@@ -25,10 +25,11 @@
 //! allocation guard: it profiles the paper-benchmark corpus and fails
 //! if frontend allocs-per-compile exceed [`FRONTEND_ALLOCS_GUARD`]
 //! (checked in ~10% above the post-arena number, so an accidental
-//! allocation regression fails CI) or if the static-analysis (lint)
-//! pass exceeds [`ANALYSIS_ALLOCS_GUARD`]. The lint pass is forced
-//! after emission so the `analysis` stage row carries real numbers,
-//! even though a plain compile never runs it.
+//! allocation regression fails CI), if the static-analysis (lint)
+//! pass exceeds [`ANALYSIS_ALLOCS_GUARD`], or if a whole
+//! `Frontend→Emit` compile exceeds [`COMPILE_ALLOCS_GUARD`]. The lint
+//! pass is forced after emission so the `analysis` stage row carries
+//! real numbers, even though a plain compile never runs it.
 //!
 //! `--overhead` instead measures the cost of the observability layer:
 //! the industrial corpus is compiled with tracing disabled and then
@@ -194,6 +195,14 @@ const FRONTEND_ALLOCS_GUARD: f64 = 315.0;
 /// measured single-pass number (131.7), so exceeding it means a real
 /// analysis allocation regression.
 const ANALYSIS_ALLOCS_GUARD: f64 = 155.0;
+
+/// Ceiling on whole-compile allocs/compile (`Frontend→Emit`, the lint
+/// pass excluded) over the paper-benchmark corpus, enforced by
+/// `--smoke`. Set ~10% above the single-pass number once passes
+/// consume their input IR and fusion reuses its boxes (1313.6; it was
+/// 1643.2 while scheduling and fusion copied theirs), so reintroducing a
+/// whole-IR copy anywhere in the mid-end fails CI.
+const COMPILE_ALLOCS_GUARD: f64 = 1445.0;
 
 fn print_profile(label: &str, p: &Profile, stage_filter: Option<&str>) {
     println!("{label}: {} cold compiles", p.compiles);
@@ -389,6 +398,7 @@ fn main() {
     let mut sections: Vec<String> = Vec::new();
     let mut frontend_allocs_on_benchmarks = 0.0f64;
     let mut analysis_allocs_on_benchmarks = 0.0f64;
+    let mut compile_allocs_on_benchmarks = 0.0f64;
     for (label, corpus) in &corpora {
         let profile = profile_corpus(corpus, passes);
         print_profile(label, &profile, stage_filter.as_deref());
@@ -398,6 +408,8 @@ fn main() {
             frontend_allocs_on_benchmarks = t.allocs as f64 / profile.compiles as f64;
             let a = profile.stages[stage_index(Stage::Analysis)];
             analysis_allocs_on_benchmarks = a.allocs as f64 / profile.compiles as f64;
+            compile_allocs_on_benchmarks =
+                (profile.total_allocs - a.allocs) as f64 / profile.compiles as f64;
         }
     }
 
@@ -423,11 +435,18 @@ fn main() {
              on the benchmark corpus exceeds the checked-in guard of {ANALYSIS_ALLOCS_GUARD:.0} \
              (see ANALYSIS_ALLOCS_GUARD in crates/bench/src/bin/pipeline.rs)"
         );
+        assert!(
+            compile_allocs_on_benchmarks <= COMPILE_ALLOCS_GUARD,
+            "compile allocation regression: {compile_allocs_on_benchmarks:.1} allocs/compile \
+             on the benchmark corpus exceeds the checked-in guard of {COMPILE_ALLOCS_GUARD:.0} \
+             (see COMPILE_ALLOCS_GUARD in crates/bench/src/bin/pipeline.rs)"
+        );
         println!(
             "smoke ok: harness emitted well-formed JSON; frontend allocs/compile \
              {frontend_allocs_on_benchmarks:.1} within guard {FRONTEND_ALLOCS_GUARD:.0}; \
              analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
-             {ANALYSIS_ALLOCS_GUARD:.0}"
+             {ANALYSIS_ALLOCS_GUARD:.0}; compile allocs/compile \
+             {compile_allocs_on_benchmarks:.1} within guard {COMPILE_ALLOCS_GUARD:.0}"
         );
     }
 }

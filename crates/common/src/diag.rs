@@ -69,16 +69,17 @@ impl Code {
 
     /// Whether a failure under this code is worth retrying. Most
     /// registered codes describe a property of the *source program* —
-    /// resubmitting the same input fails the same way. The exceptions
-    /// are environmental: [`codes::E0000`] (an uncategorized internal
-    /// failure) and the `E08xx` serving-layer conditions that clear on
+    /// resubmitting the same input fails the same way. That includes
+    /// [`codes::E0000`] (an uncoded failure or a contained panic): the
+    /// service caches it and replays it to a retry. The exceptions are
+    /// the environmental `E08xx` serving-layer conditions that clear on
     /// their own — overload shedding ([`codes::E0801`]), an expired
     /// deadline ([`codes::E0802`]), a worker that missed its shutdown
     /// ack ([`codes::E0804`]), and a draining service
     /// ([`codes::E0805`]).
     pub fn retry_class(self) -> RetryClass {
         match self.id {
-            "E0000" | "E0801" | "E0802" | "E0804" | "E0805" => RetryClass::Transient,
+            "E0801" | "E0802" | "E0804" | "E0805" => RetryClass::Transient,
             _ => RetryClass::Source,
         }
     }
@@ -92,7 +93,7 @@ pub enum RetryClass {
     /// Deterministic: the failure is inherent to the source program.
     Source,
     /// Environmental: a retry of the identical request may succeed
-    /// (overload, deadline, drain, uncategorized internal error).
+    /// (overload, deadline, drain).
     Transient,
 }
 
@@ -1053,7 +1054,8 @@ mod tests {
     #[test]
     fn retry_class_separates_source_from_environment() {
         assert_eq!(codes::E0201.retry_class(), RetryClass::Source);
-        assert_eq!(codes::E0000.retry_class(), RetryClass::Transient);
+        // A contained panic is cached and replayed: retrying cannot help.
+        assert_eq!(codes::E0000.retry_class(), RetryClass::Source);
         assert_eq!(codes::retry_class_of("E0202"), RetryClass::Source);
         assert_eq!(codes::retry_class_of("panic"), RetryClass::Transient);
         // The serving-layer conditions are environmental.

@@ -6,7 +6,9 @@
 //! IR dumps. [`produce`] maps a requested [`ArtifactKind`] set onto a
 //! [`StagedPipeline`], forcing **only the stages the set needs**: a
 //! WCET-only request stops after Clight generation (emission never
-//! runs), an N-Lustre dump stops after the front-end checks.
+//! runs), an N-Lustre dump stops after the front-end checks. Passes
+//! consume their input, so an IR is copied aside only for a requested
+//! kind that reads it after the pass that consumes it.
 //!
 //! Each artifact records its own resident footprint
 //! ([`ServiceArtifact::estimated_bytes`]) so the service's cache byte
@@ -418,6 +420,8 @@ fn wcet_of(
     velus_wcet::wcet_step(clight, root, model).map_err(|e| analysis_err(root_span, e.to_string()))
 }
 
+/// The baseline comparison; the N-Lustre must be retained (see
+/// [`StagedPipeline::retain`]).
 fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact, VelusError> {
     let root = staged.root();
     // The Vélus row measures the validated pipeline's own output.
@@ -471,11 +475,14 @@ fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact
 }
 
 /// Produces one artifact per requested kind from a staged pipeline,
-/// forcing only the stages the kind set needs. Kinds are produced in
-/// the given order; duplicates yield duplicate artifacts (the service
-/// deduplicates the kind set before calling). `source` is the request's
-/// source text, used to resolve warning positions for
-/// [`ArtifactKind::Report`].
+/// forcing only the stages the kind set needs. Retention is planned
+/// from the whole kind set before any stage is forced: the N-Lustre is
+/// copied aside only for an N-Lustre dump or a baseline comparison, the
+/// unfused Obc only for an Obc dump. Kinds are then produced in the
+/// given order, and each artifact is the same whatever the order;
+/// duplicates yield duplicate artifacts (the service deduplicates the
+/// kind set before calling). `source` is the request's source text,
+/// used to resolve warning positions for [`ArtifactKind::Report`].
 ///
 /// # Errors
 ///
@@ -487,6 +494,13 @@ pub fn produce(
     io: TestIo,
     source: &str,
 ) -> Result<Vec<(ArtifactKind, ServiceArtifact)>, VelusError> {
+    for kind in kinds {
+        match kind {
+            ArtifactKind::IrDump { stage } => staged.retain(*stage),
+            ArtifactKind::BaselineDiff => staged.retain(IrStageKind::NLustre),
+            _ => {}
+        }
+    }
     let mut artifacts = Vec::with_capacity(kinds.len());
     for kind in kinds {
         let artifact = match kind {
@@ -634,6 +648,7 @@ mod tests {
     fn baseline_diff_reproduces_the_figure12_relationships() {
         let mut observe = |_: velus_server::Stage, _: std::time::Duration| {};
         let mut staged = staged_for(&mut observe);
+        staged.retain(IrStageKind::NLustre);
         let diff = baseline_diff(&mut staged).unwrap();
         assert_eq!(diff.rows.len(), 3);
         assert_eq!(diff.rows[0].scheme, "velus");

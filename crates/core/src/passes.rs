@@ -18,11 +18,17 @@
 //!   from — one hook, two consumers.
 //!
 //! [`StagedPipeline`] composes the passes **on demand**: each IR is
-//! computed (and re-validated) the first time something asks for it and
-//! memoized afterwards, so a request that only needs the front half of
-//! the pipeline — a WCET report, an N-Lustre dump — never pays for the
-//! back half. `compile`/`compile_timed` in [`crate::pipeline`] are thin
-//! wrappers that force every stage.
+//! computed (and re-validated) the first time something asks for it, so
+//! a request that only needs the front half of the pipeline — a WCET
+//! report, an N-Lustre dump — never pays for the back half. Like the
+//! paper's chain of functions, a pass **consumes its input**: scheduling
+//! takes the N-Lustre and fusion the Obc by value and rewrite them in
+//! place. An IR a later consumer still needs is copied aside only when
+//! that consumer was requested ([`StagedPipeline::retain`]); the IRs
+//! that the next pass only reads (SN-Lustre, fused Obc, Clight) stay
+//! resident without a copy. `compile`/`compile_timed` in
+//! [`crate::pipeline`] are thin wrappers that retain and force every
+//! stage.
 
 use std::time::Instant;
 
@@ -33,7 +39,7 @@ use velus_nlustre::{clockcheck, typecheck};
 use velus_obc::ast::ObcProgram;
 use velus_obc::fusion::{fuse_program, fusible};
 use velus_ops::ClightOps;
-use velus_server::{CancelReason, CancelToken, Stage};
+use velus_server::{CancelReason, CancelToken, IrStageKind, Stage};
 
 use crate::VelusError;
 
@@ -97,8 +103,10 @@ pub fn diag_stage(stage: Stage) -> DiagStage {
 
 /// One named, typed compiler pass.
 ///
-/// The lifetime parameter lets a pass borrow its input (e.g.
-/// translation reads the scheduled program without consuming it).
+/// A pass that rewrites its input takes it by value (scheduling,
+/// fusion); the lifetime parameter lets a pass that builds a new IR
+/// borrow its input instead (e.g. translation reads the scheduled
+/// program without consuming it).
 pub trait Pass<'a> {
     /// What the pass consumes.
     type Input: 'a;
@@ -419,18 +427,18 @@ impl<'a> Pass<'a> for TranslatePass {
     }
 }
 
-/// The fusion optimization; re-validation checks preservation of typing
-/// and `Fusible`.
+/// The fusion optimization, rewriting the translated Obc in place;
+/// re-validation checks preservation of typing and `Fusible`.
 pub struct FusePass;
 
-impl<'a> Pass<'a> for FusePass {
-    type Input = &'a ObcProgram<ClightOps>;
+impl Pass<'_> for FusePass {
+    type Input = ObcProgram<ClightOps>;
     type Output = ObcProgram<ClightOps>;
 
     const STAGE: Stage = Stage::Fuse;
     const NAME: &'static str = "fuse";
 
-    fn run(&self, input: &'a ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
+    fn run(&self, input: ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
         Ok(fuse_program(input))
     }
 
@@ -529,24 +537,34 @@ impl<'a> Pass<'a> for LintPass {
 }
 
 /// The pipeline composed on demand: each stage runs (and re-validates)
-/// the first time it is requested and is memoized afterwards.
+/// the first time it is requested.
 ///
 /// This is the engine behind both the classic whole-pipeline API
 /// ([`crate::compile`] forces every stage) and the multi-artifact
 /// service (a WCET-only request forces stages up to Clight generation
 /// and never runs emission; an N-Lustre dump stops after the checks).
+///
+/// Scheduling consumes the N-Lustre and fusion consumes the unfused
+/// Obc. A caller that still wants either after its consuming pass says
+/// so first with [`StagedPipeline::retain`]; only then is a copy made.
+/// SN-Lustre, the fused Obc and the Clight are only read by the passes
+/// after them, so they stay available once computed.
 pub struct StagedPipeline<'o> {
     pm: PassManager<'o>,
-    nlustre: Program<ClightOps>,
     root: Ident,
     warnings: Diagnostics,
     spans: SpanMap,
     pre_marks: PreMarks,
+    /// Live until scheduling consumes it; afterwards only if retained.
+    nlustre: Option<Program<ClightOps>>,
     snlustre: Option<Program<ClightOps>>,
+    /// Live until fusion consumes it; afterwards only if retained.
     obc: Option<ObcProgram<ClightOps>>,
     obc_fused: Option<ObcProgram<ClightOps>>,
     clight: Option<velus_clight::ast::Program>,
     lint: Option<Diagnostics>,
+    retain_nlustre: bool,
+    retain_obc: bool,
 }
 
 impl<'o> StagedPipeline<'o> {
@@ -626,17 +644,31 @@ impl<'o> StagedPipeline<'o> {
         let nlustre = pm.run(&CheckPass, elaborated.nlustre, &elaborated.spans)?;
         Ok(StagedPipeline {
             pm,
-            nlustre,
             root: elaborated.root,
             warnings: elaborated.warnings,
             spans: elaborated.spans,
             pre_marks: elaborated.pre_marks,
+            nlustre: Some(nlustre),
             snlustre: None,
             obc: None,
             obc_fused: None,
             clight: None,
             lint: None,
+            retain_nlustre: false,
+            retain_obc: false,
         })
+    }
+
+    /// Keeps a copy of `ir` past the pass that consumes it, for a
+    /// consumer that asks for it later: the N-Lustre past scheduling,
+    /// the unfused Obc past fusion. Call it before forcing that pass;
+    /// the other IRs are never consumed, so retaining them is a no-op.
+    pub fn retain(&mut self, ir: IrStageKind) {
+        match ir {
+            IrStageKind::NLustre => self.retain_nlustre = true,
+            IrStageKind::Obc => self.retain_obc = true,
+            IrStageKind::SnLustre | IrStageKind::ObcFused => {}
+        }
     }
 
     /// The resolved root node.
@@ -655,21 +687,36 @@ impl<'o> StagedPipeline<'o> {
         &self.warnings
     }
 
-    /// The elaborated, unscheduled N-Lustre (always available).
+    /// The elaborated, unscheduled N-Lustre.
+    ///
+    /// # Panics
+    ///
+    /// If scheduling already consumed it and it was not retained.
     pub fn nlustre(&self) -> &Program<ClightOps> {
-        &self.nlustre
+        self.nlustre
+            .as_ref()
+            .expect("scheduling consumed the N-Lustre: retain(IrStageKind::NLustre) first")
     }
 
-    /// The scheduled SN-Lustre, scheduling on first demand.
+    /// The scheduled SN-Lustre, scheduling on first demand. Scheduling
+    /// consumes the N-Lustre unless it is retained.
     ///
     /// # Errors
     ///
     /// Scheduling failures or a failed schedule re-check.
+    ///
+    /// # Panics
+    ///
+    /// If called again after scheduling failed (its input is gone).
     pub fn snlustre(&mut self) -> Result<&Program<ClightOps>, VelusError> {
         if self.snlustre.is_none() {
-            let scheduled = self
-                .pm
-                .run(&SchedulePass, self.nlustre.clone(), &self.spans)?;
+            let nlustre = if self.retain_nlustre {
+                self.nlustre.clone()
+            } else {
+                self.nlustre.take()
+            };
+            let nlustre = nlustre.expect("scheduling already failed");
+            let scheduled = self.pm.run(&SchedulePass, nlustre, &self.spans)?;
             self.snlustre = Some(scheduled);
         }
         Ok(self.snlustre.as_ref().expect("just scheduled"))
@@ -680,8 +727,16 @@ impl<'o> StagedPipeline<'o> {
     /// # Errors
     ///
     /// Translation failures or failed typing/`Fusible` re-checks.
+    ///
+    /// # Panics
+    ///
+    /// If fusion already consumed it and it was not retained.
     pub fn obc(&mut self) -> Result<&ObcProgram<ClightOps>, VelusError> {
         if self.obc.is_none() {
+            assert!(
+                self.obc_fused.is_none(),
+                "fusion consumed the Obc: retain(IrStageKind::Obc) first"
+            );
             self.snlustre()?;
             let obc = self.pm.run(
                 &TranslatePass,
@@ -693,19 +748,26 @@ impl<'o> StagedPipeline<'o> {
         Ok(self.obc.as_ref().expect("just translated"))
     }
 
-    /// The fused Obc, fusing on first demand.
+    /// The fused Obc, fusing on first demand. Fusion consumes the
+    /// unfused Obc unless it is retained.
     ///
     /// # Errors
     ///
     /// Failed preservation re-checks.
+    ///
+    /// # Panics
+    ///
+    /// If called again after fusion failed (its input is gone).
     pub fn obc_fused(&mut self) -> Result<&ObcProgram<ClightOps>, VelusError> {
         if self.obc_fused.is_none() {
             self.obc()?;
-            let fused = self.pm.run(
-                &FusePass,
-                self.obc.as_ref().expect("translated"),
-                &self.spans,
-            )?;
+            let obc = if self.retain_obc {
+                self.obc.clone()
+            } else {
+                self.obc.take()
+            };
+            let obc = obc.expect("fusion already failed");
+            let fused = self.pm.run(&FusePass, obc, &self.spans)?;
             self.obc_fused = Some(fused);
         }
         Ok(self.obc_fused.as_ref().expect("just fused"))
@@ -784,17 +846,25 @@ impl<'o> StagedPipeline<'o> {
         )
     }
 
-    /// Forces every stage and returns the classic whole-pipeline result.
+    /// Retains and forces every stage and returns the classic
+    /// whole-pipeline result, every IR included (the oracles' bundle,
+    /// so the N-Lustre and the unfused Obc are copied aside).
     ///
     /// # Errors
     ///
     /// Any stage failure.
+    ///
+    /// # Panics
+    ///
+    /// If scheduling or fusion already ran without retaining its input.
     pub fn into_compiled(mut self) -> Result<crate::pipeline::Compiled, VelusError> {
+        self.retain(IrStageKind::NLustre);
+        self.retain(IrStageKind::Obc);
         self.clight()?;
         Ok(crate::pipeline::Compiled {
-            nlustre: self.nlustre,
+            nlustre: self.nlustre.expect("retained"),
             snlustre: self.snlustre.expect("forced"),
-            obc: self.obc.expect("forced"),
+            obc: self.obc.expect("retained"),
             obc_fused: self.obc_fused.expect("forced"),
             clight: self.clight.expect("forced"),
             root: self.root,

@@ -4,9 +4,11 @@
 //! [`compile`] forces every pass of the [`StagedPipeline`] — elaborate,
 //! check, schedule, translate, fuse, generate — and returns every
 //! intermediate representation, exactly as the original hand-rolled
-//! driver did. Callers that need only part of the pipeline (WCET
+//! driver did. It is the one path that retains the IRs scheduling and
+//! fusion consume. Callers that need only part of the pipeline (WCET
 //! reports, IR dumps, the multi-artifact service) drive the
-//! [`StagedPipeline`] directly and stop early.
+//! [`StagedPipeline`] directly, stop early, and copy no IR they do not
+//! ask for.
 
 use velus_clight::printer::TestIo;
 use velus_common::{Diagnostics, Ident, SpanMap};

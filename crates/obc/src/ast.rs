@@ -120,6 +120,14 @@ pub enum Stmt<O: Ops> {
     Skip,
 }
 
+/// `skip`, so a statement can be moved out from behind a `&mut` with
+/// [`std::mem::take`] and rewritten in place.
+impl<O: Ops> Default for Stmt<O> {
+    fn default() -> Self {
+        Stmt::Skip
+    }
+}
+
 impl<O: Ops> Stmt<O> {
     /// Sequencing smart constructor that elides `skip`s.
     pub fn seq(s1: Stmt<O>, s2: Stmt<O>) -> Stmt<O> {
@@ -263,6 +271,15 @@ impl<O: Ops> Class<O> {
 pub struct ObcProgram<O: Ops> {
     /// The classes in dependency order.
     pub classes: Vec<Class<O>>,
+}
+
+/// Copies a borrowed program, so a consuming pass such as
+/// [`crate::fusion::fuse_program`] also accepts `&program` from a caller
+/// that keeps the original.
+impl<O: Ops> From<&ObcProgram<O>> for ObcProgram<O> {
+    fn from(prog: &ObcProgram<O>) -> Self {
+        prog.clone()
+    }
 }
 
 impl<O: Ops> ObcProgram<O> {

@@ -14,29 +14,73 @@
 //! executable check (asserted by the validation harness) and a property
 //! test.
 
+use std::mem::take;
+
 use velus_ops::Ops;
 
-use crate::ast::{Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{ObcExpr, ObcProgram, Stmt};
 
 /// The `zip` function of Fig. 8: iteratively integrates statements of the
 /// second argument into the first, merging equal-guard conditionals.
 pub fn zip<O: Ops>(s: Stmt<O>, t: Stmt<O>) -> Stmt<O> {
+    zip_in(s, t, &mut Vec::new())
+}
+
+/// [`zip`] rewriting in place: the first argument keeps its `Box`es, and
+/// the boxes the second argument gives up go to `spare`, from which the
+/// new sequences draw before allocating. Fusion only shrinks a
+/// statement, so it rarely allocates at all.
+fn zip_in<O: Ops>(s: Stmt<O>, t: Stmt<O>, spare: &mut Vec<Box<Stmt<O>>>) -> Stmt<O> {
     match (s, t) {
-        (Stmt::If(e1, t1, f1), Stmt::If(e2, t2, f2)) if e1 == e2 => {
-            Stmt::If(e1, Box::new(zip(*t1, *t2)), Box::new(zip(*f1, *f2)))
+        (Stmt::If(e1, mut t1, mut f1), Stmt::If(e2, t2, f2)) if e1 == e2 => {
+            *t1 = zip_in(take(&mut *t1), unbox(t2, spare), spare);
+            *f1 = zip_in(take(&mut *f1), unbox(f2, spare), spare);
+            Stmt::If(e1, t1, f1)
         }
-        (Stmt::Seq(s1, s2), t) => Stmt::Seq(s1, Box::new(zip(*s2, t))),
-        (s, Stmt::Seq(t1, t2)) => zip(zip(s, *t1), *t2),
+        (Stmt::Seq(s1, mut s2), t) => {
+            *s2 = zip_in(take(&mut *s2), t, spare);
+            Stmt::Seq(s1, s2)
+        }
+        (s, Stmt::Seq(t1, t2)) => {
+            let (t1, t2) = (unbox(t1, spare), unbox(t2, spare));
+            let s = zip_in(s, t1, spare);
+            zip_in(s, t2, spare)
+        }
         (s, Stmt::Skip) => s,
         (Stmt::Skip, t) => t,
-        (s, t) => Stmt::Seq(Box::new(s), Box::new(t)),
+        (s, t) => Stmt::Seq(rebox(s, spare), rebox(t, spare)),
+    }
+}
+
+/// Moves a statement out of its box and keeps the box for reuse.
+fn unbox<O: Ops>(mut b: Box<Stmt<O>>, spare: &mut Vec<Box<Stmt<O>>>) -> Stmt<O> {
+    let s = take(&mut *b);
+    spare.push(b);
+    s
+}
+
+/// Boxes a statement, in a spare box when there is one.
+fn rebox<O: Ops>(s: Stmt<O>, spare: &mut Vec<Box<Stmt<O>>>) -> Box<Stmt<O>> {
+    match spare.pop() {
+        Some(mut b) => {
+            *b = s;
+            b
+        }
+        None => Box::new(s),
     }
 }
 
 /// The `fuse` function: splits a sequential composition in two and zips.
 pub fn fuse<O: Ops>(s: Stmt<O>) -> Stmt<O> {
+    fuse_in(s, &mut Vec::new())
+}
+
+fn fuse_in<O: Ops>(s: Stmt<O>, spare: &mut Vec<Box<Stmt<O>>>) -> Stmt<O> {
     match s {
-        Stmt::Seq(s1, s2) => zip(*s1, *s2),
+        Stmt::Seq(s1, s2) => {
+            let (s1, s2) = (unbox(s1, spare), unbox(s2, spare));
+            zip_in(s1, s2, spare)
+        }
         s => s,
     }
 }
@@ -74,31 +118,16 @@ fn fusible_rec<O: Ops>(s: &Stmt<O>, scratch: &mut Vec<velus_common::Ident>) -> b
     }
 }
 
-/// Fuses the bodies of every method of a class.
-pub fn fuse_class<O: Ops>(class: &Class<O>) -> Class<O> {
-    Class {
-        name: class.name,
-        memories: class.memories.clone(),
-        instances: class.instances.clone(),
-        methods: class
-            .methods
-            .iter()
-            .map(|m| Method {
-                name: m.name,
-                inputs: m.inputs.clone(),
-                outputs: m.outputs.clone(),
-                locals: m.locals.clone(),
-                body: fuse(m.body.clone()),
-            })
-            .collect(),
+/// Fuses a whole program, rewriting every method body in place. A
+/// caller that still needs the unfused program passes a borrow, which
+/// is copied first.
+pub fn fuse_program<O: Ops>(prog: impl Into<ObcProgram<O>>) -> ObcProgram<O> {
+    let mut prog = prog.into();
+    let mut spare = Vec::new();
+    for method in prog.classes.iter_mut().flat_map(|c| &mut c.methods) {
+        method.body = fuse_in(take(&mut method.body), &mut spare);
     }
-}
-
-/// Fuses a whole program.
-pub fn fuse_program<O: Ops>(prog: &ObcProgram<O>) -> ObcProgram<O> {
-    ObcProgram {
-        classes: prog.classes.iter().map(fuse_class).collect(),
-    }
+    prog
 }
 
 #[cfg(test)]

@@ -325,7 +325,7 @@ mod tests {
         };
         let obc = crate::translate::translate_program(&Program::new(vec![node])).unwrap();
         assert_eq!(check_program(&obc), Ok(()));
-        let fused = crate::fusion::fuse_program(&obc);
+        let fused = crate::fusion::fuse_program(obc);
         assert_eq!(check_program(&fused), Ok(()));
     }
 }

@@ -363,26 +363,35 @@ impl RequestScope {
 impl Drop for RequestScope {
     fn drop(&mut self) {
         let state = SCOPE.with(|s| s.borrow_mut().take());
-        let Some(mut state) = state else { return };
+        let Some(state) = state else { return };
         let now = state.now_ns();
-        while let Some(span) = state.stack.pop() {
-            state.events.push(TraceEvent {
+        state.close(now);
+    }
+}
+
+impl ScopeState {
+    /// Ends the request at `now` (recorder nanoseconds): closes its
+    /// open spans, offers it to the flight recorder, flushes its events
+    /// to the thread's ring and reinstates the enclosing scope.
+    fn close(mut self, now: u64) {
+        while let Some(span) = self.stack.pop() {
+            self.events.push(TraceEvent {
                 kind: EventKind::Exit,
                 name: "",
                 ts_ns: now,
-                trace: state.trace,
+                trace: self.trace,
                 span,
                 parent: 0,
-                tid: state.tid,
+                tid: self.tid,
                 arg: None,
             });
         }
-        let dur_ns = now.saturating_sub(state.start_ns);
-        state.inner.retain_flight(&state, dur_ns);
-        let ring = state.inner.ring_for_current_thread();
-        let events = std::mem::take(&mut state.events);
+        let dur_ns = now.saturating_sub(self.start_ns);
+        self.inner.retain_flight(&self, dur_ns);
+        let ring = self.inner.ring_for_current_thread();
+        let events = std::mem::take(&mut self.events);
         ring.lock().unwrap().push_bulk(events);
-        if let Some(prev) = state.prev.take() {
+        if let Some(prev) = self.prev.take() {
             SCOPE.with(|s| *s.borrow_mut() = Some(*prev));
         }
     }
@@ -808,18 +817,25 @@ mod tests {
             slowest: 2,
             ..RecorderConfig::default()
         });
-        for k in 0..4u64 {
-            let _scope = rec.scope(&format!("job-{k}"));
-            // Busy-wait a strictly increasing amount so job-3 is slowest.
-            let target = rec.now_ns() + (k + 1) * 200_000;
-            while rec.now_ns() < target {
-                std::hint::spin_loop();
-            }
+        // Each job ends at an explicit time instead of the wall clock,
+        // so preemption cannot reorder them: job-3 is slowest, then
+        // job-0, and job-1/job-2 are ranked in and evicted on the way.
+        for (k, dur_ns) in [300_000u64, 100_000, 200_000, 400_000]
+            .into_iter()
+            .enumerate()
+        {
+            let scope = rec.scope(&format!("job-{k}"));
+            let state = SCOPE.with(|s| s.borrow_mut().take()).expect("scope open");
+            let end = state.start_ns + dur_ns;
+            state.close(end);
+            drop(scope);
         }
         let flight = rec.flight();
         assert_eq!(flight.len(), 2);
         assert_eq!(flight[0].label, "job-3");
         assert!(flight[0].dur_ns >= flight[1].dur_ns);
+        assert_eq!(flight[1].label, "job-0");
+        assert_eq!((flight[0].dur_ns, flight[1].dur_ns), (400_000, 300_000));
         let tree = flight[0].render_tree();
         assert!(tree.contains("request [job-3]"));
     }

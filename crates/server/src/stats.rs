@@ -749,7 +749,7 @@ mod tests {
         let text = snap.render_prometheus();
         velus_obs::prom::check(&text).expect("exposition must validate");
         assert!(text.contains("velus_failures_total{code=\"E0201\",class=\"source\"} 1"));
-        assert!(text.contains("velus_failures_total{code=\"E0000\",class=\"transient\"} 1"));
+        assert!(text.contains("velus_failures_total{code=\"E0000\",class=\"source\"} 1"));
         // Lint findings count per code; unregistered ids stay out.
         assert!(text.contains("velus_lint_findings_total{code=\"W0102\"} 2"));
         assert!(text.contains("velus_lint_findings_total{code=\"W0104\"} 1"));

@@ -275,7 +275,7 @@ pub fn stagewise_c(source: &str, root: Option<&str>) -> Result<String, VelusErro
     let nlustre = pm.run(&CheckPass, elaborated.nlustre, &spans)?;
     let snlustre = pm.run(&SchedulePass, nlustre, &spans)?;
     let obc = pm.run(&TranslatePass, &snlustre, &spans)?;
-    let obc_fused = pm.run(&FusePass, &obc, &spans)?;
+    let obc_fused = pm.run(&FusePass, obc, &spans)?;
     let clight = pm.run(
         &GeneratePass,
         GenerateInput {

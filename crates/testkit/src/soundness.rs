@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use velus::{Compiled, StagedPipeline, VelusError};
+use velus::{Compiled, IrStageKind, StagedPipeline, VelusError};
 use velus_clight::generate::{method_fn_name, out_struct_name};
 use velus_clight::interp::{Machine, RVal};
 use velus_clight::ClightError;
@@ -273,6 +273,10 @@ pub fn check_source(
     let compiled = catch_unwind(AssertUnwindSafe(|| -> Linted {
         let mut observe = |_: velus::Stage, _: std::time::Duration| {};
         let mut staged = StagedPipeline::from_source(source, root, &mut observe)?;
+        // `into_compiled` below wants the IRs scheduling and fusion
+        // consume; keep them before `lint` forces scheduling.
+        staged.retain(IrStageKind::NLustre);
+        staged.retain(IrStageKind::Obc);
         let findings = staged.lint()?.clone();
         Ok((findings, staged.into_compiled()?))
     }));
