@@ -18,7 +18,9 @@
 //! class: volatile loads of the inputs, one `step`, volatile stores of
 //! the outputs, in an infinite loop.
 
-use velus_common::{Ident, IdentSet};
+use std::collections::HashMap;
+
+use velus_common::{BuildIdentHasher, Ident, IdentSet};
 use velus_obc::ast::{reset_name, step_name, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt};
 use velus_ops::{CTy, ClightOps};
 
@@ -68,7 +70,25 @@ fn out_ident() -> Ident {
     *OUT.get_or_init(|| Ident::new("out"))
 }
 
+/// The `class$method` names of a program ([`method_fn_name`]), built
+/// once per [`generate`] call. Each serves as its method's function name
+/// and, for a method with two or more outputs, as its output struct's
+/// ([`out_struct_name`] is the same string).
+type FnNames = HashMap<(Ident, Ident), Ident, BuildIdentHasher>;
+
+fn fn_names(prog: &ObcProgram<ClightOps>) -> FnNames {
+    prog.classes
+        .iter()
+        .flat_map(|c| {
+            c.methods
+                .iter()
+                .map(move |m| ((c.name, m.name), method_fn_name(c.name, m.name)))
+        })
+        .collect()
+}
+
 struct MCtx<'a> {
+    names: &'a FnNames,
     class: &'a Class<ClightOps>,
     multi_out: bool,
     out_struct: Ident,
@@ -177,7 +197,7 @@ impl MCtx<'_> {
                 let cm: &Method<ClightOps> = callee
                     .method(*m)
                     .ok_or_else(|| ClightError::Malformed(format!("unknown method {k}.{m}")))?;
-                let fname = method_fn_name(*k, *m);
+                let fname = self.names[&(*k, *m)];
                 let self_arg = Expr::AddrOf(Box::new(Expr::DerefField(
                     Box::new(self.self_expr()),
                     self.class.name,
@@ -202,7 +222,7 @@ impl MCtx<'_> {
                         Stmt::seq(call, copy)
                     }
                     _ => {
-                        let ostruct = out_struct_name(*k, *m);
+                        let ostruct = fname;
                         self.fresh += 1;
                         let ovar = Ident::new(&format!("out${i}${m}"));
                         if !self.extra_vars.iter().any(|(v, _)| *v == ovar) {
@@ -237,15 +257,17 @@ impl MCtx<'_> {
 
 fn gen_method(
     prog: &ObcProgram<ClightOps>,
+    names: &FnNames,
     class: &Class<ClightOps>,
     m: &Method<ClightOps>,
 ) -> Result<Function, ClightError> {
     let multi_out = m.outputs.len() >= 2;
-    let out_struct = out_struct_name(class.name, m.name);
+    let name = names[&(class.name, m.name)];
     let mut ctx = MCtx {
+        names,
         class,
         multi_out,
-        out_struct,
+        out_struct: name,
         outputs: m.outputs.iter().map(|(x, _)| *x).collect(),
         extra_vars: Vec::new(),
         extra_temps: Vec::new(),
@@ -255,7 +277,7 @@ fn gen_method(
 
     let mut params = vec![(self_ident(), CType::ptr_to_struct(class.name))];
     if multi_out {
-        params.push((out_ident(), CType::ptr_to_struct(out_struct)));
+        params.push((out_ident(), CType::ptr_to_struct(name)));
     }
     params.extend(m.inputs.iter().map(|(x, t)| (*x, CType::Scalar(*t))));
 
@@ -279,7 +301,7 @@ fn gen_method(
     };
 
     Ok(Function {
-        name: method_fn_name(class.name, m.name),
+        name,
         params,
         vars: ctx.extra_vars,
         temps,
@@ -288,12 +310,12 @@ fn gen_method(
     })
 }
 
-fn gen_composites(class: &Class<ClightOps>) -> Vec<Composite> {
+fn gen_composites(class: &Class<ClightOps>, names: &FnNames) -> Vec<Composite> {
     let mut out = Vec::new();
     for m in &class.methods {
         if m.outputs.len() >= 2 {
             out.push(Composite {
-                name: out_struct_name(class.name, m.name),
+                name: names[&(class.name, m.name)],
                 fields: m
                     .outputs
                     .iter()
@@ -320,7 +342,7 @@ type GeneratedMain = (Function, Vec<(Ident, CTy)>, Vec<(Ident, CTy)>);
 /// Generates the simulation `main` for the root class: `reset` once, then
 /// an infinite loop of volatile input loads, one `step`, and volatile
 /// output stores.
-fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
+fn gen_main(root: &Class<ClightOps>, names: &FnNames) -> Result<GeneratedMain, ClightError> {
     let step = root
         .method(step_name())
         .ok_or_else(|| ClightError::Malformed(format!("class {} has no step", root.name)))?;
@@ -347,7 +369,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
     }
 
     // The step call.
-    let fname = method_fn_name(root.name, step_name());
+    let fname = names[&(root.name, step_name())];
     let mut args = vec![Expr::AddrOf(Box::new(self_expr.clone()))];
     match step.outputs.len() {
         0 => {
@@ -375,7 +397,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
             ));
         }
         _ => {
-            let ostruct = out_struct_name(root.name, step_name());
+            let ostruct = fname;
             let ovar = out_ident();
             vars.push((ovar, CType::Struct(ostruct)));
             args.push(Expr::AddrOf(Box::new(Expr::Var(
@@ -406,7 +428,11 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
     let body = Stmt::seq(
         Stmt::Call(
             None,
-            method_fn_name(root.name, reset_name()),
+            // A root class without `reset` still gets the call.
+            names
+                .get(&(root.name, reset_name()))
+                .copied()
+                .unwrap_or_else(|| method_fn_name(root.name, reset_name())),
             vec![Expr::AddrOf(Box::new(self_expr))],
         ),
         Stmt::Loop(Box::new(Stmt::seq_all(loop_body))),
@@ -433,18 +459,19 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
 /// [`ClightError::Malformed`] on dangling class/method references (which
 /// the Obc type checker rules out).
 pub fn generate(obc: &ObcProgram<ClightOps>, root: Ident) -> Result<Program, ClightError> {
+    let names = fn_names(obc);
     let mut composites = Vec::new();
     let mut functions = Vec::new();
     for class in &obc.classes {
-        composites.extend(gen_composites(class));
+        composites.extend(gen_composites(class, &names));
         for m in &class.methods {
-            functions.push(gen_method(obc, class, m)?);
+            functions.push(gen_method(obc, &names, class, m)?);
         }
     }
     let root_class = obc
         .class(root)
         .ok_or_else(|| ClightError::Malformed(format!("unknown root class {root}")))?;
-    let (main, vols_in, vols_out) = gen_main(root_class)?;
+    let (main, vols_in, vols_out) = gen_main(root_class, &names)?;
     functions.push(main);
     Ok(Program {
         composites,

@@ -23,6 +23,21 @@
 //!   buckets), so a read is a handful of atomic loads — it cannot block
 //!   behind a writer, and it cannot deadlock against a thread that is
 //!   interning.
+//!
+//! The front end keeps the write path cold as well: the lexer remembers
+//! the token of every word it has seen in a small per-compile cache, so
+//! a compile takes the shard lock once per *distinct* word of its
+//! source, not once per occurrence. Clight generation likewise builds
+//! each derived `class$method` name once per compile.
+//!
+//! # The empty name
+//!
+//! `Ident::new("")` never reaches a shard map. The empty name is
+//! published at index 0 of its shard when the shards are created and
+//! returned from a constant. A map lookup of `""` would compare two
+//! empty strings, both at the dangling address of an empty slice, and
+//! on some hosts `memcmp` takes a fault-suppression assist there that
+//! costs several times a whole intern of a real name.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -124,28 +139,43 @@ struct Shard {
 fn shards() -> &'static [Shard; NUM_SHARDS] {
     static SHARDS: OnceLock<[Shard; NUM_SHARDS]> = OnceLock::new();
     SHARDS.get_or_init(|| {
-        std::array::from_fn(|_| Shard {
+        let shards: [Shard; NUM_SHARDS] = std::array::from_fn(|_| Shard {
             intern: Mutex::new(HashMap::new()),
             symbols: SymbolTable::new(),
-        })
+        });
+        // The empty name takes index 0 of its shard before any other
+        // name can, so `Ident::EMPTY` is valid from the start.
+        let shard = &shards[shard_of("")];
+        shard.symbols.publish(0, "");
+        shard.intern.lock().expect("fresh lock").insert("", 0);
+        shards
     })
 }
 
 /// FNV-1a over the name selects the shard; deterministic, so equal
 /// names always land in the same shard and interning stays idempotent.
-fn shard_of(name: &str) -> usize {
+const fn shard_of(name: &str) -> usize {
+    let bytes = name.as_bytes();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     // The multiply mixes poorly into the low bits; take high ones.
     (h >> (64 - SHARD_BITS)) as usize
 }
 
 impl Ident {
+    /// The empty name, pre-interned (see the module docs).
+    const EMPTY: Ident = Ident::encode(shard_of(""), 0);
+
     /// Interns `name` and returns its identifier.
     pub fn new(name: &str) -> Ident {
+        if name.is_empty() {
+            return Ident::EMPTY;
+        }
         let shard_index = shard_of(name);
         let shard = &shards()[shard_index];
         let mut intern = shard.intern.lock().expect("identifier interner poisoned");
@@ -160,7 +190,7 @@ impl Ident {
         Ident::encode(shard_index, index)
     }
 
-    fn encode(shard: usize, index: u32) -> Ident {
+    const fn encode(shard: usize, index: u32) -> Ident {
         Ident(((shard as u32) << INDEX_BITS) | index)
     }
 
@@ -271,6 +301,24 @@ mod tests {
         for name in ["a", "tracker", "state$0", "日本語"] {
             assert_eq!(Ident::new(name).as_str(), name);
         }
+    }
+
+    #[test]
+    fn empty_name_round_trips_and_is_stable() {
+        let e = Ident::new("");
+        assert_eq!(e.as_str(), "");
+        assert_eq!(Ident::new(""), e);
+        assert_eq!(Ident::from(""), e);
+        assert_eq!(e, Ident::EMPTY);
+        // Names interned into the empty name's shard get fresh indices.
+        let names: Vec<String> = (0..256).map(|k| format!("empty_probe_{k}")).collect();
+        for name in &names {
+            let id = Ident::new(name);
+            assert_ne!(id, e);
+            assert_eq!(id.as_str(), name.as_str());
+        }
+        assert_eq!(Ident::new("").as_str(), "");
+        assert!(e < Ident::new("a"));
     }
 
     #[test]

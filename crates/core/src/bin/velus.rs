@@ -674,16 +674,19 @@ fn dispatch(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "dump" => {
-            use velus_server::IrStageKind;
             // The coded parser (E0901 + did-you-mean), shared with the
-            // `--emit` tokens.
-            let stage: IrStageKind = args.ir.parse()?;
-            let c = compile(&source, node).map_err(render_err)?;
-            match stage {
-                IrStageKind::NLustre => println!("{}", c.nlustre),
-                IrStageKind::SnLustre => println!("{}", c.snlustre),
-                IrStageKind::Obc => println!("{}", c.obc),
-                IrStageKind::ObcFused => println!("{}", c.obc_fused),
+            // `--emit` tokens; served like `--emit STAGE`, so only the
+            // stages up to the dumped one run.
+            let stage = args.ir.parse()?;
+            let mut observe = |_, _| {};
+            let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
+                .map_err(render_err)?;
+            let kinds = [ArtifactKind::IrDump { stage }];
+            let artifacts =
+                velus::artifacts::produce(&mut staged, &kinds, TestIo::Volatile, &source)
+                    .map_err(render_err)?;
+            for (_, artifact) in &artifacts {
+                println!("{}", artifact.render());
             }
             Ok(())
         }

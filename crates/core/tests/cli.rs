@@ -120,6 +120,46 @@ fn dump_prints_intermediate_representations() {
     }
 }
 
+/// `velus dump` prints, byte for byte, the IRs the one-shot compile
+/// builds, on every paper benchmark and at every stage, while running
+/// only the stages up to the one it prints.
+#[test]
+fn dump_matches_the_one_shot_compile_on_every_benchmark() {
+    let dir = std::path::Path::new(&tracker_path())
+        .parent()
+        .expect("benchmarks directory")
+        .to_path_buf();
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "lus"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 14);
+    for path in &files {
+        let node = path.file_stem().unwrap().to_str().unwrap();
+        let source = std::fs::read_to_string(path).unwrap();
+        let c = velus::compile(&source, Some(node)).unwrap();
+        for (ir, want) in [
+            ("nlustre", c.nlustre.to_string()),
+            ("snlustre", c.snlustre.to_string()),
+            ("obc", c.obc.to_string()),
+            ("obc-fused", c.obc_fused.to_string()),
+        ] {
+            let out = Command::new(velus_bin())
+                .args(["dump", path.to_str().unwrap(), "--node", node, "--ir", ir])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{node} --ir {ir}");
+            assert_eq!(
+                String::from_utf8(out.stdout).unwrap(),
+                format!("{want}\n"),
+                "{node} --ir {ir}"
+            );
+        }
+    }
+}
+
 #[test]
 fn syntax_errors_exit_nonzero_with_position() {
     let dir = std::env::temp_dir().join("velus-cli-test");

@@ -125,24 +125,24 @@ impl Parser<'_, '_> {
         }
     }
 
-    /// `x, y : ty [when …]` — one typed group, appended to `out`.
+    /// `x, y : ty [when …]` — one typed group, appended to `out`. The
+    /// group's type and clock follow its names, so each declaration is
+    /// pushed with its own name standing in for the type until they are
+    /// parsed.
     fn decl_group(&mut self, out: &mut Vec<UDecl>) -> PResult<()> {
         let start = self.span();
         let first = out.len();
-        out.push(UDecl {
-            name: self.ident()?,
-            ty_name: Ident::new(""),
-            clock: ClockId::BASE,
-            span: start,
-        });
-        while self.eat(Tok::Comma) {
+        loop {
             let name = self.ident()?;
             out.push(UDecl {
                 name,
-                ty_name: Ident::new(""),
+                ty_name: name,
                 clock: ClockId::BASE,
                 span: start,
             });
+            if !self.eat(Tok::Comma) {
+                break;
+            }
         }
         self.expect(Tok::Colon)?;
         let ty_name = self.ident()?;
