@@ -11,11 +11,19 @@
 //! * `figure12` — prints the reproduced Fig. 12;
 //! * `industrial` — the §5 compile-time scaling experiment;
 //! * `schedules` — the §5 schedule-quality observation;
-//! * `service` — throughput scaling of the batch compilation service;
-//! * `contention` — identifier-interner contention across threads;
+//! * `ablation` — the contribution of fusion (§3.3);
 //! * `pipeline` — per-stage time and allocation profile of the cold
 //!   compile path (counting global allocator; see
-//!   `BENCH_pipeline.json`).
+//!   `BENCH_pipeline.json`);
+//! * `diff` and `lintsound` — the differential-semantics and lint
+//!   soundness campaigns;
+//! * `chaos` — open-loop overload of the service's fault-tolerance
+//!   layer;
+//! * `jsoncheck` and `promcheck` — the JSON and Prometheus format
+//!   checkers used by CI.
+//!
+//! Service throughput is measured by the repository benchmark
+//! (`perfbench`, workload `batch_mix`).
 
 pub mod suite;
 pub mod table;

@@ -8,57 +8,41 @@
 //!
 //! # Concurrency
 //!
-//! The interner is shared by every thread of the batch compilation
-//! service, so its locking is on the hot path of parallel compilation.
-//! Two mechanisms keep it off the profile:
+//! The interner is one process-wide table shared by every thread of the
+//! batch compilation service:
 //!
-//! * **Sharding.** The intern table is striped into [`NUM_SHARDS`]
-//!   independent shards selected by a hash of the name; two workers
-//!   interning different names almost never contend on the same lock.
-//!   An [`Ident`] remains a `u32`: the shard number lives in the high
-//!   [`SHARD_BITS`] bits and the within-shard index in the low bits.
-//! * **Lock-free reads.** [`Ident::as_str`] never takes a lock. Each
-//!   shard resolves indices through an append-only symbol table built
-//!   from [`OnceLock`] cells (a fixed spine of geometrically growing
+//! * **One lock for writers.** The name→index map sits behind a single
+//!   mutex. A compile takes it about a hundred times: the lexer
+//!   remembers the token of every word it has seen in a small
+//!   per-compile cache, so it interns each *distinct* word of its source
+//!   once, not each occurrence, and Clight generation likewise builds
+//!   each derived `class$method` name once per compile. At that rate two
+//!   workers barely meet on the lock.
+//! * **Lock-free reads.** [`Ident::as_str`] never takes the lock. An
+//!   [`Ident`] is an index into an append-only symbol table built from
+//!   [`OnceLock`] cells (a fixed spine of geometrically growing
 //!   buckets), so a read is a handful of atomic loads — it cannot block
 //!   behind a writer, and it cannot deadlock against a thread that is
 //!   interning.
 //!
-//! The front end keeps the write path cold as well: the lexer remembers
-//! the token of every word it has seen in a small per-compile cache, so
-//! a compile takes the shard lock once per *distinct* word of its
-//! source, not once per occurrence. Clight generation likewise builds
-//! each derived `class$method` name once per compile.
-//!
 //! # The empty name
 //!
-//! `Ident::new("")` never reaches a shard map. The empty name is
-//! published at index 0 of its shard when the shards are created and
-//! returned from a constant. A map lookup of `""` would compare two
-//! empty strings, both at the dangling address of an empty slice, and
-//! on some hosts `memcmp` takes a fault-suppression assist there that
-//! costs several times a whole intern of a real name.
+//! `Ident::new("")` never reaches the map. The empty name is published
+//! at index 0 when the table is created and returned from a constant. A
+//! map lookup of `""` would compare two empty strings, both at the
+//! dangling address of an empty slice, and on some hosts `memcmp` takes
+//! a fault-suppression assist there that costs several times a whole
+//! intern of a real name.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-/// Number of bits of an [`Ident`] that encode the shard.
-const SHARD_BITS: u32 = 4;
-/// Number of intern shards (16): enough to make same-shard collisions
-/// between a handful of worker threads rare, small enough that the
-/// static footprint stays trivial.
-const NUM_SHARDS: usize = 1 << SHARD_BITS;
-/// Bits left for the within-shard index.
-const INDEX_BITS: u32 = 32 - SHARD_BITS;
-/// Largest within-shard index (≈268M identifiers per shard).
-const MAX_INDEX: u32 = (1 << INDEX_BITS) - 1;
-
 /// Entries in the first symbol-table bucket; bucket `b` holds
 /// `FIRST_BUCKET << b` entries, so the spine below covers the full
-/// index space with [`NUM_BUCKETS`] buckets.
+/// `u32` index space with [`NUM_BUCKETS`] buckets.
 const FIRST_BUCKET: usize = 1 << 10;
-const NUM_BUCKETS: usize = (INDEX_BITS - 10 + 1) as usize;
+const NUM_BUCKETS: usize = (u32::BITS - 10 + 1) as usize;
 
 /// An interned identifier.
 ///
@@ -78,8 +62,8 @@ const NUM_BUCKETS: usize = (INDEX_BITS - 10 + 1) as usize;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ident(u32);
 
-/// The append-only symbol table of one shard: a fixed spine of lazily
-/// allocated buckets whose sizes double, each slot written exactly once.
+/// The append-only symbol table: a fixed spine of lazily allocated
+/// buckets whose sizes double, each slot written exactly once.
 ///
 /// `OnceLock` gives the required publication for free: `set` is a
 /// release store, `get` an acquire load, so a reader that obtained an
@@ -114,8 +98,8 @@ impl SymbolTable {
         slots[offset].get().expect("symbol slot published")
     }
 
-    /// Publishes `name` at slot `index`. Called with the shard's intern
-    /// lock held, so slots are filled in order and exactly once.
+    /// Publishes `name` at slot `index`. Called with the intern lock
+    /// held, so slots are filled in order and exactly once.
     fn publish(&self, index: usize, name: &'static str) {
         let (bucket, offset) = locate(index);
         let slots = self.buckets[bucket].get_or_init(|| {
@@ -129,79 +113,55 @@ impl SymbolTable {
     }
 }
 
-/// One intern shard: the name→index map behind a mutex (writers only)
+/// The interner: the name→index map behind one mutex (writers only)
 /// and the index→name table readable without any lock.
-struct Shard {
-    intern: Mutex<HashMap<&'static str, u32>>,
+struct Interner {
+    map: Mutex<HashMap<&'static str, u32>>,
     symbols: SymbolTable,
 }
 
-fn shards() -> &'static [Shard; NUM_SHARDS] {
-    static SHARDS: OnceLock<[Shard; NUM_SHARDS]> = OnceLock::new();
-    SHARDS.get_or_init(|| {
-        let shards: [Shard; NUM_SHARDS] = std::array::from_fn(|_| Shard {
-            intern: Mutex::new(HashMap::new()),
-            symbols: SymbolTable::new(),
-        });
-        // The empty name takes index 0 of its shard before any other
-        // name can, so `Ident::EMPTY` is valid from the start.
-        let shard = &shards[shard_of("")];
-        shard.symbols.publish(0, "");
-        shard.intern.lock().expect("fresh lock").insert("", 0);
-        shards
+fn interner() -> &'static Interner {
+    static INTERNER: OnceLock<Interner> = OnceLock::new();
+    INTERNER.get_or_init(|| {
+        // The empty name takes index 0 before any other name can, so
+        // `Ident::EMPTY` is valid from the start.
+        let symbols = SymbolTable::new();
+        symbols.publish(0, "");
+        Interner {
+            map: Mutex::new(HashMap::from([("", 0)])),
+            symbols,
+        }
     })
-}
-
-/// FNV-1a over the name selects the shard; deterministic, so equal
-/// names always land in the same shard and interning stays idempotent.
-const fn shard_of(name: &str) -> usize {
-    let bytes = name.as_bytes();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut i = 0;
-    while i < bytes.len() {
-        h ^= bytes[i] as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        i += 1;
-    }
-    // The multiply mixes poorly into the low bits; take high ones.
-    (h >> (64 - SHARD_BITS)) as usize
 }
 
 impl Ident {
     /// The empty name, pre-interned (see the module docs).
-    const EMPTY: Ident = Ident::encode(shard_of(""), 0);
+    const EMPTY: Ident = Ident(0);
 
     /// Interns `name` and returns its identifier.
     pub fn new(name: &str) -> Ident {
         if name.is_empty() {
             return Ident::EMPTY;
         }
-        let shard_index = shard_of(name);
-        let shard = &shards()[shard_index];
-        let mut intern = shard.intern.lock().expect("identifier interner poisoned");
-        if let Some(&index) = intern.get(name) {
-            return Ident::encode(shard_index, index);
+        let interner = interner();
+        let mut map = interner.map.lock().expect("identifier interner poisoned");
+        if let Some(&index) = map.get(name) {
+            return Ident(index);
         }
-        let index = u32::try_from(intern.len()).expect("interner overflow");
-        assert!(index <= MAX_INDEX, "interner shard overflow");
+        let index = u32::try_from(map.len()).expect("interner overflow");
         let stored: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        shard.symbols.publish(index as usize, stored);
-        intern.insert(stored, index);
-        Ident::encode(shard_index, index)
-    }
-
-    const fn encode(shard: usize, index: u32) -> Ident {
-        Ident(((shard as u32) << INDEX_BITS) | index)
+        interner.symbols.publish(index as usize, stored);
+        map.insert(stored, index);
+        Ident(index)
     }
 
     /// Returns the identifier's string contents.
     ///
-    /// Lock-free: resolves through the shard's append-only symbol table
-    /// with atomic loads only, so it never blocks behind (or deadlocks
+    /// Lock-free: resolves through the append-only symbol table with
+    /// atomic loads only, so it never blocks behind (or deadlocks
     /// against) a thread that is interning.
     pub fn as_str(self) -> &'static str {
-        let shard = &shards()[(self.0 >> INDEX_BITS) as usize];
-        shard.symbols.get((self.0 & MAX_INDEX) as usize)
+        interner().symbols.get(self.0 as usize)
     }
 
     /// Builds the derived identifier `self` + `suffix`.
@@ -310,7 +270,7 @@ mod tests {
         assert_eq!(Ident::new(""), e);
         assert_eq!(Ident::from(""), e);
         assert_eq!(e, Ident::EMPTY);
-        // Names interned into the empty name's shard get fresh indices.
+        // Names interned after the empty name get fresh indices.
         let names: Vec<String> = (0..256).map(|k| format!("empty_probe_{k}")).collect();
         for name in &names {
             let id = Ident::new(name);
@@ -361,15 +321,15 @@ mod tests {
             assert_eq!(locate(expected_start + size - 1), (bucket, size - 1));
             expected_start += size;
         }
-        // The spine reaches past the densest shard the encoding allows.
-        assert!(expected_start > MAX_INDEX as usize);
+        // The spine reaches past the largest index an `Ident` can hold.
+        assert!(expected_start > u32::MAX as usize);
     }
 
     #[test]
-    fn idents_from_distinct_shards_stay_distinct() {
-        // Enough names that several shards are certainly populated; every
+    fn many_idents_round_trip_and_stay_distinct() {
+        // Enough names to fill past the first symbol-table bucket; every
         // round-trip must still be exact and idempotent.
-        let names: Vec<String> = (0..512).map(|k| format!("shard_probe_{k}")).collect();
+        let names: Vec<String> = (0..2048).map(|k| format!("table_probe_{k}")).collect();
         let idents: Vec<Ident> = names.iter().map(|n| Ident::new(n)).collect();
         for (name, id) in names.iter().zip(&idents) {
             assert_eq!(id.as_str(), name.as_str());

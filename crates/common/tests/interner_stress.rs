@@ -1,4 +1,4 @@
-//! Concurrency tests of the sharded identifier interner: idempotence
+//! Concurrency tests of the identifier interner: idempotence
 //! under racing interns of overlapping name sets, and the regression
 //! guarantee that the lock-free `as_str` read path cannot block behind
 //! (or deadlock against) concurrent interning.
@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use velus_common::Ident;
 
 /// N threads intern overlapping name sets simultaneously; every thread
-/// must observe the same `Ident` for the same name (idempotence across
-/// shards), and every ident must round-trip through `as_str`.
+/// must observe the same `Ident` for the same name (idempotence under
+/// racing inserts), and every ident must round-trip through `as_str`.
 #[test]
 fn racing_interns_of_overlapping_sets_agree() {
     const THREADS: usize = 8;
@@ -25,7 +25,7 @@ fn racing_interns_of_overlapping_sets_agree() {
             thread::spawn(move || {
                 barrier.wait();
                 // Each thread walks the shared name set from a different
-                // offset so the racing inserts spread over all shards.
+                // offset so the racing inserts collide on fresh names.
                 (0..NAMES)
                     .map(|k| {
                         let name = format!("stress_{}", (k + t * 97) % NAMES);
@@ -51,10 +51,10 @@ fn racing_interns_of_overlapping_sets_agree() {
     assert_eq!(seen.len(), NAMES);
 }
 
-/// Regression test for the old global-mutex interner: `as_str` must make
-/// progress while another thread continuously interns fresh names. The
-/// read path is lock-free, so the readers finish even though the writer
-/// holds its shard's intern lock essentially all the time.
+/// `as_str` must make progress while another thread continuously
+/// interns fresh names. The read path is lock-free, so the readers
+/// finish even though the writer holds the intern lock essentially all
+/// the time.
 #[test]
 fn as_str_is_not_blocked_by_concurrent_interning() {
     const READERS: usize = 4;

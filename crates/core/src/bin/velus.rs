@@ -622,13 +622,16 @@ fn dispatch(args: &Args) -> Result<(), String> {
 
     match args.cmd.as_str() {
         "check" => {
-            let c = compile(&source, node).map_err(render_err)?;
-            emit_warnings(&c.warnings, &source, error_format);
+            // Front end and scheduling only: the counts are SN-Lustre's.
+            let mut observe = |_, _| {};
+            let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
+                .map_err(render_err)?;
+            let snlustre = staged.snlustre().map_err(render_err)?;
+            let (nodes, equations) = (snlustre.nodes.len(), snlustre.equation_count());
+            emit_warnings(staged.warnings(), &source, error_format);
             println!(
-                "ok: {} nodes, {} equations, root {}",
-                c.snlustre.nodes.len(),
-                c.snlustre.equation_count(),
-                c.root
+                "ok: {nodes} nodes, {equations} equations, root {}",
+                staged.root()
             );
             Ok(())
         }
@@ -691,9 +694,14 @@ fn dispatch(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let c = compile(&source, node).map_err(render_err)?;
-            let root = c.snlustre.node(c.root).expect("root exists");
-            let inputs_decl = root.inputs.clone();
+            // The dataflow interpreter runs on SN-Lustre; nothing past
+            // scheduling is built.
+            let mut observe = |_, _| {};
+            let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
+                .map_err(render_err)?;
+            let root = staged.root();
+            let snlustre = staged.snlustre().map_err(render_err)?;
+            let inputs_decl = snlustre.node(root).expect("root exists").inputs.clone();
             let mut text = String::new();
             std::io::stdin()
                 .read_to_string(&mut text)
@@ -710,11 +718,12 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 }
                 count += 1;
             }
-            let outs = velus_nlustre::dataflow::run_node(&c.snlustre, c.root, &streams, count)
-                .map_err(|e| {
-                    let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
+            let outs = velus_nlustre::dataflow::run_node(snlustre, root, &streams, count).map_err(
+                |e| {
+                    let diags = e.to_diagnostics(staged.spans()).tagged(DiagStage::Validate);
                     emit_error(&diags, &source, error_format)
-                })?;
+                },
+            )?;
             for i in 0..count {
                 let row: Vec<String> = outs.iter().map(|s| format!("{}", s[i])).collect();
                 println!("{}", row.join(" "));

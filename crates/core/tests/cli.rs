@@ -67,11 +67,11 @@ fn run_interprets_stdin_instants() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 8);
-    // p and t at the last instant: 33 and 3.
-    assert_eq!(lines[7], "33 3");
+    // The `p` and `t` rows of the §2.2 table.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "0 0\n2 0\n8 1\n12 1\n16 1\n23 2\n27 2\n33 3\n"
+    );
 }
 
 #[test]
@@ -121,10 +121,11 @@ fn dump_prints_intermediate_representations() {
 }
 
 /// `velus dump` prints, byte for byte, the IRs the one-shot compile
-/// builds, on every paper benchmark and at every stage, while running
-/// only the stages up to the one it prints.
+/// builds, on every paper benchmark and at every stage, and `velus
+/// check` prints its SN-Lustre counts, while each runs only the stages
+/// up to the one it reads.
 #[test]
-fn dump_matches_the_one_shot_compile_on_every_benchmark() {
+fn dump_and_check_match_the_one_shot_compile_on_every_benchmark() {
     let dir = std::path::Path::new(&tracker_path())
         .parent()
         .expect("benchmarks directory")
@@ -140,6 +141,21 @@ fn dump_matches_the_one_shot_compile_on_every_benchmark() {
         let node = path.file_stem().unwrap().to_str().unwrap();
         let source = std::fs::read_to_string(path).unwrap();
         let c = velus::compile(&source, Some(node)).unwrap();
+        let out = Command::new(velus_bin())
+            .args(["check", path.to_str().unwrap(), "--node", node])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{node} check");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!(
+                "ok: {} nodes, {} equations, root {}\n",
+                c.snlustre.nodes.len(),
+                c.snlustre.equation_count(),
+                c.root
+            ),
+            "{node} check"
+        );
         for (ir, want) in [
             ("nlustre", c.nlustre.to_string()),
             ("snlustre", c.snlustre.to_string()),

@@ -14,7 +14,7 @@
 //! hash the identifier scan computes as it reads the word. A hit reuses
 //! the slot's token, keyword or interned identifier alike; a miss
 //! classifies the word (keyword table, then the global interner, whose
-//! shard lock is the expensive part) and overwrites the slot. So a
+//! lock is the expensive part) and overwrites the slot. So a
 //! compile interns each distinct word about once, and lexing allocates
 //! nothing but its output.
 //!

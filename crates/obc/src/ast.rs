@@ -14,7 +14,7 @@ use velus_ops::Ops;
 /// Returns the conventional name of the `step` method.
 ///
 /// Cached: translation asks for it once per equation, and re-interning
-/// even a known string takes the interner's shard lock.
+/// even a known string takes the interner's lock.
 pub fn step_name() -> Ident {
     static STEP: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
     *STEP.get_or_init(|| Ident::new("step"))

@@ -12,15 +12,14 @@
 //!   ≤ ~3.2% relative error);
 //! * **bounded memory** — [`BUCKETS`] `u64` slots (< 8 KiB) regardless
 //!   of how many samples are recorded;
-//! * **associative merging** — bucket counts add, so per-worker shards
-//!   (or per-run snapshots) combine into one distribution in any
-//!   order, which is what lets recording be lock-free.
+//! * **associative merging** — bucket counts add, so per-run snapshots
+//!   combine into one distribution in any order.
 //!
 //! [`Histogram`] is the plain single-writer form (benches, snapshots);
-//! [`ShardedHistogram`] wraps per-thread shards of atomic buckets for
-//! concurrent recording with no locks on the hot path.
+//! [`AtomicHistogram`] is the shared form, whose atomic buckets any
+//! number of threads record into with no lock.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two octave (16 → bucket width ≤ 1/16
 /// of the value's magnitude).
@@ -192,10 +191,11 @@ impl Histogram {
     }
 }
 
-/// A histogram of atomic buckets: many threads may record concurrently;
-/// reads (snapshots) are racy-but-monotone, which is all statistics
-/// need.
-struct AtomicHistogram {
+/// A histogram of atomic buckets shared by every recording thread.
+/// Recording is a handful of relaxed atomic adds — no mutex, no
+/// allocation. Snapshots are racy but monotone (counts never go
+/// backwards), which is all statistics need.
+pub struct AtomicHistogram {
     counts: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -203,8 +203,15 @@ struct AtomicHistogram {
     max: AtomicU64,
 }
 
+impl Default for AtomicHistogram {
+    fn default() -> AtomicHistogram {
+        AtomicHistogram::new()
+    }
+}
+
 impl AtomicHistogram {
-    fn new() -> AtomicHistogram {
+    /// An empty histogram.
+    pub fn new() -> AtomicHistogram {
         AtomicHistogram {
             counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -214,7 +221,8 @@ impl AtomicHistogram {
         }
     }
 
-    fn record(&self, v: u64) {
+    /// Counts one value.
+    pub fn record(&self, v: u64) {
         self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -222,75 +230,26 @@ impl AtomicHistogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    fn merge_into(&self, out: &mut Histogram) {
-        for (a, b) in out.counts.iter_mut().zip(self.counts.iter()) {
-            *a += b.load(Ordering::Relaxed);
-        }
-        out.count += self.count.load(Ordering::Relaxed);
-        out.sum = out.sum.saturating_add(self.sum.load(Ordering::Relaxed));
-        out.min = out.min.min(self.min.load(Ordering::Relaxed));
-        out.max = out.max.max(self.max.load(Ordering::Relaxed));
-    }
-}
-
-/// The small distinct-per-thread index used to spread recording threads
-/// over shards (assigned once per thread, process-wide).
-fn thread_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    INDEX.with(|i| *i)
-}
-
-/// A lock-free concurrent histogram: per-worker shards of atomic
-/// buckets, merged into one [`Histogram`] at snapshot time. Recording
-/// is a handful of relaxed atomic adds on the recording thread's own
-/// shard — no mutex, no allocation, no cross-thread contention beyond
-/// incidental shard collisions.
-pub struct ShardedHistogram {
-    shards: Box<[AtomicHistogram]>,
-}
-
-impl Default for ShardedHistogram {
-    fn default() -> ShardedHistogram {
-        ShardedHistogram::new(8)
-    }
-}
-
-impl ShardedHistogram {
-    /// A histogram with `shards` shards (clamped to at least 1, rounded
-    /// up to a power of two so shard selection is a mask).
-    pub fn new(shards: usize) -> ShardedHistogram {
-        let n = shards.max(1).next_power_of_two();
-        ShardedHistogram {
-            shards: (0..n).map(|_| AtomicHistogram::new()).collect(),
-        }
-    }
-
-    /// Counts one value into the calling thread's shard.
-    pub fn record(&self, v: u64) {
-        let shard = thread_index() & (self.shards.len() - 1);
-        self.shards[shard].record(v);
-    }
-
-    /// Merges every shard into one point-in-time [`Histogram`].
-    /// Concurrent recording keeps going; the snapshot is consistent
-    /// enough for statistics (counts never go backwards).
+    /// A point-in-time copy as a plain [`Histogram`]. Concurrent
+    /// recording keeps going.
     pub fn snapshot(&self) -> Histogram {
         let mut out = Histogram::new();
-        for shard in self.shards.iter() {
-            shard.merge_into(&mut out);
+        for (a, b) in out.counts.iter_mut().zip(self.counts.iter()) {
+            *a = b.load(Ordering::Relaxed);
         }
+        out.count = self.count.load(Ordering::Relaxed);
+        out.sum = self.sum.load(Ordering::Relaxed);
+        out.min = self.min.load(Ordering::Relaxed);
+        out.max = self.max.load(Ordering::Relaxed);
         out
     }
 }
 
-impl std::fmt::Debug for ShardedHistogram {
+impl std::fmt::Debug for AtomicHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedHistogram")
-            .field("shards", &self.shards.len())
-            .finish()
+        f.debug_struct("AtomicHistogram")
+            .field("count", &self.count.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
     }
 }
 
@@ -377,11 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_recording_merges_across_threads() {
-        let h = std::sync::Arc::new(ShardedHistogram::new(4));
+    fn shared_recording_counts_every_thread() {
+        let h = AtomicHistogram::new();
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let h = std::sync::Arc::clone(&h);
+                let h = &h;
                 s.spawn(move || {
                     for k in 0..1000u64 {
                         h.record(t * 1000 + k);

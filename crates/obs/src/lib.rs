@@ -5,10 +5,9 @@
 //! shared JSON string escaper):
 //!
 //! * [`hist`] — **mergeable log-linear histograms**: exact counts over
-//!   the full run, bounded memory, lock-free recording through
-//!   [`hist::ShardedHistogram`], percentiles (p50…p999) within a ~3%
-//!   relative error. Shards merge associatively, so per-worker
-//!   recorders combine into one distribution at snapshot time.
+//!   the full run, bounded memory, lock-free recording from any number
+//!   of threads into one [`hist::AtomicHistogram`], percentiles
+//!   (p50…p999) within a ~3% relative error.
 //! * [`trace`] — **structured tracing**: per-request trace IDs, an
 //!   enter/exit span model with parent links recorded into bounded
 //!   per-worker ring buffers, a thread-local request scope so deep
@@ -32,6 +31,6 @@ pub mod hist;
 pub mod prom;
 pub mod trace;
 
-pub use hist::{Histogram, ShardedHistogram};
+pub use hist::{AtomicHistogram, Histogram};
 pub use prom::PromWriter;
 pub use trace::{FlightRecord, Recorder, RecorderConfig, TraceData, TraceEvent};

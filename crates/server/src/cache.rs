@@ -22,23 +22,19 @@
 //! hit**: a digest collision degrades to a miss (and a recompile), never
 //! to serving another program's artifact.
 //!
-//! # Sharding and eviction
+//! # Eviction
 //!
-//! The table is striped into [`CacheConfig::shards`] lock-striped shards
-//! selected by the high bits of the digest (uniform, since the digest
-//! is), so concurrent workers only contend when they touch the same
-//! stripe. Capacity is bounded: each entry is weighed (stored source
-//! bytes plus an artifact weigher supplied by the service) and the cache
-//! enforces optional total entry/byte caps with **LRU eviction** —
-//! recency is a global monotone tick per entry, a per-shard `BTreeMap`
-//! orders entries by tick, and eviction pops the globally oldest entry.
-//! Evictions are counted and surfaced through
-//! [`CacheCounters`]/`ServiceStats`. The verification-on-hit invariant
-//! is per entry and unaffected by sharding: an evicted entry simply
-//! recompiles (and re-verifies) on its next request.
+//! The table is one map behind one lock. Capacity is bounded: each entry
+//! is weighed (stored source bytes plus an artifact weigher supplied by
+//! the service) and the cache enforces optional entry/byte caps with
+//! **LRU eviction** — every lookup and insert stamps the entry with the
+//! next tick of the cache's recency clock, a `BTreeMap` orders entries
+//! by tick, and eviction pops its first (least recent) entry. Evictions
+//! are counted and surfaced through [`CacheCounters`]/`ServiceStats`.
+//! An evicted entry simply recompiles (and re-verifies) on its next
+//! request.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::{ArtifactKind, CompileRequest, IoMode, ServiceError};
@@ -107,27 +103,14 @@ impl CacheKey {
     }
 }
 
-/// Shape and capacity of an [`ArtifactCache`].
-#[derive(Debug, Clone, Copy)]
+/// Capacity of an [`ArtifactCache`]. The default is unbounded.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheConfig {
-    /// Number of lock stripes (rounded up to a power of two, at least 1).
-    pub shards: usize,
-    /// Cap on the number of cached artifacts, across all shards.
-    /// `None` means unbounded.
+    /// Cap on the number of cached entries. `None` means unbounded.
     pub max_entries: Option<usize>,
     /// Cap on the total cached bytes (stored source plus the weigher's
-    /// estimate of the artifact), across all shards. `None` is unbounded.
+    /// estimate of the artifact). `None` is unbounded.
     pub max_bytes: Option<usize>,
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig {
-            shards: 16,
-            max_entries: None,
-            max_bytes: None,
-        }
-    }
 }
 
 /// Point-in-time occupancy and eviction counters of a cache.
@@ -213,42 +196,45 @@ struct Entry<A> {
     tick: u64,
 }
 
-/// One lock stripe: the key→entry map plus the recency order of its
-/// entries (tick → key; ticks are globally unique, so this is a total
-/// order and the `BTreeMap` front is the stripe's least recent entry).
-struct ShardMap<A> {
+/// Everything the cache lock guards: the key→entry map, the recency
+/// order of its entries (tick → key; ticks are unique, so the
+/// `BTreeMap`'s first entry is the least recent one) and the counters.
+struct Table<A> {
     map: HashMap<CacheKey, Entry<A>>,
     recency: BTreeMap<u64, CacheKey>,
+    /// The recency clock; every lookup and insert takes a fresh tick.
+    tick: u64,
+    bytes: usize,
+    evictions: u64,
 }
 
-impl<A> ShardMap<A> {
-    fn new() -> ShardMap<A> {
-        ShardMap {
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-        }
+impl<A> Table<A> {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Removes `key`'s entry, which must be present.
+    fn remove(&mut self, key: &CacheKey) {
+        let entry = self.map.remove(key).expect("entry present");
+        self.recency.remove(&entry.tick);
+        self.bytes -= entry.weight;
     }
 }
 
 /// How an artifact's resident size is estimated for the byte cap.
 type Weigher<A> = Box<dyn Fn(&A) -> usize + Send + Sync>;
 
-/// A thread-safe, lock-striped, capacity-bounded memo table from request
-/// content to shared artifacts. (Hit/miss accounting lives in the
-/// service's `StatsCollector`, not here — one set of counters, one
-/// source of truth; the cache only counts what it alone can observe:
-/// occupancy and evictions.)
+/// A thread-safe, capacity-bounded memo table from request content to
+/// shared artifacts. (Hit/miss accounting lives in the service's
+/// `StatsCollector`, not here — one set of counters, one source of
+/// truth; the cache only counts what it alone can observe: occupancy
+/// and evictions.)
 pub struct ArtifactCache<A> {
-    shards: Vec<Mutex<ShardMap<A>>>,
-    shard_bits: u32,
+    table: Mutex<Table<A>>,
     max_entries: Option<usize>,
     max_bytes: Option<usize>,
     weigher: Weigher<A>,
-    /// Global recency clock; every get/insert stamps a fresh tick.
-    tick: AtomicU64,
-    entries: AtomicUsize,
-    bytes: AtomicUsize,
-    evictions: AtomicU64,
 }
 
 impl<A> Default for ArtifactCache<A> {
@@ -258,44 +244,29 @@ impl<A> Default for ArtifactCache<A> {
 }
 
 impl<A> ArtifactCache<A> {
-    /// An empty, unbounded cache with the default shard count and a
-    /// zero-weight artifact weigher.
+    /// An empty, unbounded cache with a zero-weight artifact weigher.
     pub fn new() -> ArtifactCache<A> {
         ArtifactCache::with_config(CacheConfig::default(), Box::new(|_| 0))
     }
 
-    /// An empty cache with the given shape, caps, and artifact weigher.
+    /// An empty cache with the given caps and artifact weigher.
     pub fn with_config(config: CacheConfig, weigher: Weigher<A>) -> ArtifactCache<A> {
-        let shard_count = config.shards.max(1).next_power_of_two();
-        let shard_bits = shard_count.trailing_zeros();
         ArtifactCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(ShardMap::new()))
-                .collect(),
-            shard_bits,
+            table: Mutex::new(Table {
+                map: HashMap::new(),
+                recency: BTreeMap::new(),
+                tick: 0,
+                bytes: 0,
+                evictions: 0,
+            }),
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
             weigher,
-            tick: AtomicU64::new(0),
-            entries: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
-    /// The stripe a key lives in: the digest's high bits (the digest is
-    /// uniform, so stripes fill evenly).
-    fn shard(&self, key: &CacheKey) -> &Mutex<ShardMap<A>> {
-        let index = if self.shard_bits == 0 {
-            0
-        } else {
-            (key.hi >> (64 - self.shard_bits)) as usize
-        };
-        &self.shards[index]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    fn table(&self) -> std::sync::MutexGuard<'_, Table<A>> {
+        self.table.lock().expect("cache lock")
     }
 
     /// Looks up the entry of one `kind` for a request's content — an
@@ -308,18 +279,18 @@ impl<A> ArtifactCache<A> {
         req: &CompileRequest,
         kind: &ArtifactKind,
     ) -> Option<Cached<A>> {
-        let mut shard = self.shard(key).lock().expect("cache shard lock");
-        let tick = self.next_tick();
-        match shard.map.get_mut(key) {
-            Some(entry) if entry.stored.matches(req, kind) => {
-                let value = entry.value.clone();
-                let old = std::mem::replace(&mut entry.tick, tick);
-                shard.recency.remove(&old);
-                shard.recency.insert(tick, *key);
-                Some(value)
-            }
-            _ => None,
-        }
+        let mut guard = self.table();
+        let table = &mut *guard;
+        let tick = table.next_tick();
+        let entry = table
+            .map
+            .get_mut(key)
+            .filter(|entry| entry.stored.matches(req, kind))?;
+        let old = std::mem::replace(&mut entry.tick, tick);
+        let value = entry.value.clone();
+        table.recency.remove(&old);
+        table.recency.insert(tick, *key);
+        Some(value)
     }
 
     /// The cached artifact of one `kind` for a request's content, if any
@@ -363,7 +334,8 @@ impl<A> ArtifactCache<A> {
     }
 
     /// Stores `value` unless an artifact for the same content is already
-    /// there, and returns what the entry now holds.
+    /// there, evicts down to the caps, and returns what the entry now
+    /// holds.
     fn put(
         &self,
         key: CacheKey,
@@ -371,115 +343,63 @@ impl<A> ArtifactCache<A> {
         kind: ArtifactKind,
         value: Cached<A>,
     ) -> Cached<A> {
-        let stored = {
-            let mut guard = self.shard(&key).lock().expect("cache shard lock");
-            let shard = &mut *guard;
-            match shard.map.get(&key) {
-                Some(entry) if entry.stored.matches(req, &kind) => {
-                    if let Cached::Artifact(_) = entry.value {
-                        return entry.value.clone();
-                    }
-                    // A failure makes way for the new value.
-                    let old = shard.map.remove(&key).expect("entry present");
-                    shard.recency.remove(&old.tick);
-                    self.entries.fetch_sub(1, Ordering::Relaxed);
-                    self.bytes.fetch_sub(old.weight, Ordering::Relaxed);
+        // Weigh the artifact before taking the lock. A failure weighs
+        // only its stored content.
+        let stored = StoredContent::of_request(req, kind);
+        let weight = stored.bytes()
+            + match &value {
+                Cached::Artifact(artifact) => (self.weigher)(artifact),
+                Cached::Failure(_) => 0,
+            };
+        let mut table = self.table();
+        match table.map.get(&key) {
+            Some(entry) if entry.stored.matches(req, &kind) => {
+                if let Cached::Artifact(_) = entry.value {
+                    return entry.value.clone();
                 }
-                // Digest collision with different content: keep the
-                // incumbent (its requests still verify) and serve this
-                // value uncached.
-                Some(_) => return value,
-                None => {}
+                // A failure makes way for the new value.
+                table.remove(&key);
             }
-            let stored = StoredContent::of_request(req, kind);
-            // A failure weighs only its stored content.
-            let weight = stored.bytes()
-                + match &value {
-                    Cached::Artifact(artifact) => (self.weigher)(artifact),
-                    Cached::Failure(_) => 0,
-                };
-            // An entry that alone exceeds the byte cap can never be
-            // retained; admitting it would purge every other (useful)
-            // entry on the way to evicting it. Serve it uncached instead
-            // and leave the cache untouched.
-            if self.max_bytes.is_some_and(|cap| weight > cap) {
-                return value;
-            }
-            let tick = self.next_tick();
-            shard.map.insert(
-                key,
-                Entry {
-                    stored,
-                    value: value.clone(),
-                    weight,
-                    tick,
-                },
-            );
-            shard.recency.insert(tick, key);
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(weight, Ordering::Relaxed);
-            value
-        };
-        self.enforce_caps();
-        stored
-    }
-
-    /// Evicts LRU entries until both caps hold. Shards are locked one at
-    /// a time (never two at once), so eviction cannot deadlock with
-    /// concurrent gets/inserts; under concurrency the victim is the
-    /// *approximately* oldest entry, exactly the oldest when quiescent.
-    ///
-    /// Each eviction scans every stripe for the oldest front — O(shards)
-    /// lock acquisitions — but only runs when an insert pushed past a
-    /// cap, i.e. at most once per *compiled* (millisecond-scale) request,
-    /// never on hits. If profiling ever shows this scan, the ROADMAP
-    /// names the successor (per-shard caps / CLOCK).
-    fn enforce_caps(&self) {
-        loop {
-            let over_entries = self
-                .max_entries
-                .is_some_and(|cap| self.entries.load(Ordering::Relaxed) > cap);
-            let over_bytes = self
-                .max_bytes
-                .is_some_and(|cap| self.bytes.load(Ordering::Relaxed) > cap);
-            if !(over_entries || over_bytes) || !self.evict_oldest() {
-                return;
-            }
+            // Digest collision with different content: keep the
+            // incumbent (its requests still verify) and serve this
+            // value uncached.
+            Some(_) => return value,
+            None => {}
         }
-    }
-
-    /// Removes the entry with the globally smallest recency tick.
-    /// Returns `false` when the cache is empty.
-    fn evict_oldest(&self) -> bool {
-        // Pass 1: find the stripe whose front is oldest.
-        let mut victim: Option<(usize, u64)> = None;
-        for (index, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("cache shard lock");
-            if let Some((&tick, _)) = shard.recency.first_key_value() {
-                if victim.is_none_or(|(_, best)| tick < best) {
-                    victim = Some((index, tick));
-                }
-            }
+        // An entry that alone exceeds the byte cap can never be
+        // retained; admitting it would purge every other (useful)
+        // entry on the way to evicting it. Serve it uncached instead
+        // and leave the cache untouched.
+        if self.max_bytes.is_some_and(|cap| weight > cap) {
+            return value;
         }
-        // Pass 2: pop that stripe's current front (it may have advanced
-        // since pass 1; popping the new front is still an LRU choice).
-        let Some((index, _)) = victim else {
-            return false;
-        };
-        let mut shard = self.shards[index].lock().expect("cache shard lock");
-        let Some((_, key)) = shard.recency.pop_first() else {
-            return false;
-        };
-        let entry = shard.map.remove(&key).expect("recency and map agree");
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(entry.weight, Ordering::Relaxed);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        true
+        let tick = table.next_tick();
+        table.map.insert(
+            key,
+            Entry {
+                stored,
+                value: value.clone(),
+                weight,
+                tick,
+            },
+        );
+        table.recency.insert(tick, key);
+        table.bytes += weight;
+        // Evict least recently used entries until both caps hold.
+        while self.max_entries.is_some_and(|cap| table.map.len() > cap)
+            || self.max_bytes.is_some_and(|cap| table.bytes > cap)
+        {
+            let (_, victim) = table.recency.pop_first().expect("over a cap, so not empty");
+            let entry = table.map.remove(&victim).expect("recency and map agree");
+            table.bytes -= entry.weight;
+            table.evictions += 1;
+        }
+        value
     }
 
-    /// Number of distinct artifacts held.
+    /// Number of entries held.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.table().map.len()
     }
 
     /// Whether the cache holds nothing.
@@ -487,26 +407,23 @@ impl<A> ArtifactCache<A> {
         self.len() == 0
     }
 
-    /// Occupancy and eviction counters.
+    /// Occupancy and eviction counters, read under the lock, so they
+    /// agree with each other.
     pub fn counters(&self) -> CacheCounters {
+        let table = self.table();
         CacheCounters {
-            entries: self.entries.load(Ordering::Relaxed) as u64,
-            bytes: self.bytes.load(Ordering::Relaxed) as u64,
-            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: table.map.len() as u64,
+            bytes: table.bytes as u64,
+            evictions: table.evictions,
         }
     }
 
     /// Drops every entry (not counted as evictions).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard lock");
-            let removed_bytes: usize = shard.map.values().map(|e| e.weight).sum();
-            let removed = shard.map.len();
-            shard.map.clear();
-            shard.recency.clear();
-            self.entries.fetch_sub(removed, Ordering::Relaxed);
-            self.bytes.fetch_sub(removed_bytes, Ordering::Relaxed);
-        }
+        let mut table = self.table();
+        table.map.clear();
+        table.recency.clear();
+        table.bytes = 0;
     }
 }
 
@@ -729,12 +646,11 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_configuration_still_works() {
+    fn the_default_cache_with_an_entry_cap_keeps_the_newest() {
         let cache: ArtifactCache<String> = ArtifactCache::with_config(
             CacheConfig {
-                shards: 1,
                 max_entries: Some(8),
-                max_bytes: None,
+                ..CacheConfig::default()
             },
             Box::new(|_| 0),
         );
@@ -749,5 +665,73 @@ mod tests {
             let r = req(&format!("src{k}"));
             assert!(cache.get(&key(&r), &r, &C).is_some(), "{k}");
         }
+    }
+
+    #[test]
+    fn racing_threads_keep_the_counters_exact_and_the_caps() {
+        const MAX_ENTRIES: usize = 6;
+        const MAX_BYTES: usize = 120;
+        let cache: ArtifactCache<String> = ArtifactCache::with_config(
+            CacheConfig {
+                max_entries: Some(MAX_ENTRIES),
+                max_bytes: Some(MAX_BYTES),
+            },
+            Box::new(String::len),
+        );
+        let failure = Arc::new(CachedFailure {
+            kinds: vec![C],
+            error: ServiceError::Panic("boom".to_owned()),
+        });
+        // Four workers and the observer below start together.
+        let start = std::sync::Barrier::new(5);
+        let mut last_evictions = 0;
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (cache, failure, start) = (&cache, &failure, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500usize {
+                        // 24 contents of 6 to 29 bytes, artifacts of 1 to
+                        // 12 bytes: every thread touches every content.
+                        let k = (i * 7 + t * 5) % 24;
+                        let r = req(&format!("{k:0>width$}", width = 6 + k));
+                        match i % 3 {
+                            0 => drop(cache.get(&key(&r), &r, &C)),
+                            1 => drop(cache.insert(key(&r), &r, C, "x".repeat(1 + k / 2))),
+                            _ => cache.insert_failure(key(&r), &r, C, Arc::clone(failure)),
+                        }
+                    }
+                });
+            }
+            // The eviction count never goes backwards while the workers
+            // race.
+            start.wait();
+            for _ in 0..200 {
+                let evictions = cache.counters().evictions;
+                assert!(evictions >= last_evictions, "evictions went backwards");
+                last_evictions = evictions;
+            }
+        });
+        let counters = cache.counters();
+        assert!(counters.evictions >= last_evictions);
+        assert!(counters.evictions > 0, "the caps were exercised");
+        assert_eq!(counters.entries as usize, cache.len());
+        assert!(cache.len() <= MAX_ENTRIES);
+        // `bytes` is exactly the weight of what is live.
+        let table = cache.table();
+        let recount: usize = table
+            .map
+            .values()
+            .map(|entry| {
+                entry.stored.bytes()
+                    + match &entry.value {
+                        Cached::Artifact(artifact) => artifact.len(),
+                        Cached::Failure(_) => 0,
+                    }
+            })
+            .sum();
+        assert_eq!(counters.bytes as usize, recount);
+        assert!(recount <= MAX_BYTES);
+        assert_eq!(table.recency.len(), table.map.len());
     }
 }

@@ -22,12 +22,12 @@
 //! from the driver to the substrate so later scaling work (async,
 //! multi-backend) can build on this layer without cycles.
 //!
-//! Scaling features (see `docs/ARCHITECTURE.md` at the repository root
+//! Serving features (see `docs/ARCHITECTURE.md` at the repository root
 //! for the full design):
 //!
-//! * the cache is **lock-striped** into shards selected by the digest's
-//!   high bits and bounded by entry/byte caps with LRU eviction
-//!   ([`cache::CacheConfig`]); eviction counters surface in the stats;
+//! * the cache is one table behind one lock, bounded by entry/byte caps
+//!   with LRU eviction ([`cache::CacheConfig`]); eviction counters
+//!   surface in the stats;
 //! * batches are submitted in request order to a bounded admission
 //!   queue; deadlines and a graceful drain cancel work cooperatively
 //!   through a [`CancelToken`].

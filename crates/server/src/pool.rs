@@ -27,9 +27,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// chain or a 3000-equation node).
 pub const WORKER_STACK_BYTES: usize = 8 << 20;
 
-/// The default shutdown-ack timeout (the historically hard-coded 10 s,
-/// now overridable via `ServiceConfig::shutdown_timeout` /
-/// [`WorkerPool::with_shutdown_timeout`]).
+/// The shutdown-ack timeout of [`WorkerPool::new`] (and so of every
+/// service); [`WorkerPool::with_shutdown_timeout`] sets another.
 pub const DEFAULT_SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Workers that failed to acknowledge shutdown in time (code `E0804`).

@@ -42,7 +42,7 @@ use velus_obs::Recorder;
 use crate::admit::{Admission, AdmitReject};
 use crate::cache::{ArtifactCache, CacheConfig, CacheKey, Cached, CachedFailure};
 use crate::cancel::{CancelReason, CancelToken};
-use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
+use crate::pool::WorkerPool;
 use crate::stats::{StatsCollector, StatsSnapshot};
 use crate::{ArtifactKind, CompileRequest, Compiler, DiagRecord, FailureReport};
 
@@ -55,7 +55,7 @@ const DRAIN_GRACE: Duration = Duration::from_millis(500);
 pub struct ServiceConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Cache shape and capacity (shard count, entry/byte caps).
+    /// Cache capacity (entry and byte caps).
     pub cache: CacheConfig,
     /// Structured-tracing recorder. When set, every request runs under
     /// a trace scope (queue wait, cache probe, pipeline passes, artifact
@@ -67,10 +67,6 @@ pub struct ServiceConfig {
     /// requests are shed with `E0801`. `None` (the default) admits
     /// everything.
     pub queue_cap: Option<usize>,
-    /// How long shutdown waits for each worker to acknowledge before
-    /// surfacing a coded `E0804` timeout (and how long `Drop` waits
-    /// before detaching wedged workers instead of hanging).
-    pub shutdown_timeout: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -80,7 +76,6 @@ impl Default for ServiceConfig {
             cache: CacheConfig::default(),
             recorder: None,
             queue_cap: None,
-            shutdown_timeout: DEFAULT_SHUTDOWN_TIMEOUT,
         }
     }
 }
@@ -384,7 +379,7 @@ impl<C: Compiler> CompileService<C> {
                 admission: Admission::new(config.queue_cap),
                 kill: Arc::new(AtomicBool::new(false)),
             }),
-            pool: WorkerPool::with_shutdown_timeout(config.workers, config.shutdown_timeout),
+            pool: WorkerPool::new(config.workers),
             recorder: config.recorder,
         }
     }
@@ -583,8 +578,9 @@ impl<C: Compiler> CompileService<C> {
         }
     }
 
-    /// Shuts the worker pool down, waiting up to the configured
-    /// `shutdown_timeout` for every worker to acknowledge.
+    /// Shuts the worker pool down, waiting up to the pool's shutdown
+    /// timeout ([`crate::pool::DEFAULT_SHUTDOWN_TIMEOUT`]) for every
+    /// worker to acknowledge.
     ///
     /// # Errors
     ///

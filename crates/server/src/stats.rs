@@ -1,37 +1,22 @@
 //! Service statistics: request/hit/miss/error counters and latency
 //! distributions, per pipeline stage and per request.
 //!
-//! Latency distributions are [`velus_obs`] log-linear histograms:
-//! recording is a few relaxed atomic increments on the recording
-//! worker's own shard (no mutex, no allocation), counts are exact over
-//! the **full run** (not a sliding sample window), and shards merge
-//! associatively at snapshot time, which is what makes p99/p999
-//! trustworthy under sustained traffic.
+//! Latency distributions are [`velus_obs`] log-linear histograms, one
+//! shared [`AtomicHistogram`] per stage and one for whole requests:
+//! recording is a few relaxed atomic increments (no mutex, no
+//! allocation), and counts are exact over the **full run** (not a
+//! sliding sample window), which is what makes p99/p999 trustworthy
+//! under sustained traffic.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use velus_common::codes;
-use velus_obs::{PromWriter, ShardedHistogram};
+use velus_obs::{AtomicHistogram, PromWriter};
 
 use crate::cache::CacheCounters;
 use crate::{ArtifactKind, Stage, StageSample};
-
-/// Nearest-rank percentile of a **sorted** sample set; 0 on empty input.
-///
-/// The serving statistics themselves use histograms now, but the
-/// benches still rank their (small, exact) sample vectors with this.
-pub fn percentile(sorted: &[u64], pct: u32) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let pct = pct.min(100) as usize;
-    // Nearest-rank: the smallest value with at least pct% of samples at
-    // or below it.
-    let rank = (pct * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
-}
 
 /// Per-kind request/hit/miss counters (one slot per
 /// [`ArtifactKind::GROUPS`] entry).
@@ -63,8 +48,8 @@ pub(crate) struct StatsCollector {
     /// Diagnostic code -> failed requests carrying it (a `BTreeMap` so
     /// snapshots list codes in stable order).
     failure_codes: Mutex<BTreeMap<&'static str, u64>>,
-    stage_ns: [ShardedHistogram; Stage::ALL.len()],
-    request_ns: ShardedHistogram,
+    stage_ns: [AtomicHistogram; Stage::ALL.len()],
+    request_ns: AtomicHistogram,
 }
 
 impl StatsCollector {
@@ -305,8 +290,8 @@ pub struct StatsSnapshot {
     /// Per-artifact-kind serving counters ([`ArtifactKind::GROUPS`]
     /// order; a kind never requested has all-zero counters).
     pub kinds: Vec<KindStats>,
-    /// Per-stage latency distributions (pipeline order), from merged
-    /// per-worker histograms: exact counts over the full run,
+    /// Per-stage latency distributions (pipeline order), from the
+    /// shared histograms: exact counts over the full run,
     /// bucket-quantized percentile values.
     pub stages: Vec<StageLatency>,
     /// Median end-to-end request latency in nanoseconds.
@@ -470,7 +455,7 @@ impl StatsSnapshot {
         w.sample("queue_depth", &[], self.queue_depth as f64);
         w.header(
             "request_latency_seconds",
-            "End-to-end request latency (merged-histogram quantiles).",
+            "End-to-end request latency (histogram quantiles).",
             "summary",
         );
         for (q, ns) in [
@@ -493,7 +478,7 @@ impl StatsSnapshot {
         );
         w.header(
             "stage_latency_seconds",
-            "Per-pipeline-stage latency (merged-histogram quantiles).",
+            "Per-pipeline-stage latency (histogram quantiles).",
             "summary",
         );
         for s in &self.stages {
@@ -626,32 +611,6 @@ impl std::fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let xs: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&xs, 50), 50);
-        assert_eq!(percentile(&xs, 95), 95);
-        assert_eq!(percentile(&xs, 100), 100);
-        assert_eq!(percentile(&xs, 0), 1);
-        assert_eq!(percentile(&[], 50), 0);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[7], 95), 7);
-        assert_eq!(percentile(&[1, 2], 50), 1);
-        assert_eq!(percentile(&[1, 2], 95), 2);
-    }
-
-    #[test]
-    fn percentile_edge_cases_hold() {
-        // Empty and single-sample inputs (the degenerate distributions
-        // a cold service reports).
-        assert_eq!(percentile(&[], 0), 0);
-        assert_eq!(percentile(&[], 100), 0);
-        assert_eq!(percentile(&[42], 0), 42);
-        assert_eq!(percentile(&[42], 100), 42);
-        // Percentiles above 100 clamp instead of indexing out of range.
-        assert_eq!(percentile(&[1, 2, 3], 1000), 3);
-    }
 
     #[test]
     fn latency_recording_is_insertion_order_independent() {

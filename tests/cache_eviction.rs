@@ -1,4 +1,4 @@
-//! Property tests of the sharded, capacity-bounded artifact cache: the
+//! Property tests of the capacity-bounded artifact cache: the
 //! configured caps are never exceeded, eviction counters are monotone,
 //! and an evicted entry's next request recompiles and re-verifies
 //! through the real pipeline.
@@ -11,10 +11,9 @@ use velus_server::{
 
 /// Replays a random operation sequence against a capped cache and
 /// checks the capacity/monotonicity invariants after every step.
-fn check_random_workload(ops: &[u8], max_entries: usize, max_bytes: usize, shards: usize) {
+fn check_random_workload(ops: &[u8], max_entries: usize, max_bytes: usize) {
     let cache: ArtifactCache<String> = ArtifactCache::with_config(
         CacheConfig {
-            shards,
             max_entries: Some(max_entries),
             max_bytes: Some(max_bytes),
         },
@@ -73,14 +72,12 @@ proptest! {
     fn caps_hold_and_evictions_are_monotone(
         ops in prop::collection::vec(any::<u8>(), 1..200),
         cap in any::<u8>(),
-        shard_pow in any::<u8>(),
     ) {
         let max_entries = usize::from(cap) % 8 + 1;
         // Each entry weighs 17 bytes (10 source + 7 artifact); a byte cap
         // that is not a multiple of the weight exercises partial fits.
         let max_bytes = (usize::from(cap) % 5 + 1) * 25;
-        let shards = 1 << (usize::from(shard_pow) % 6); // 1..=32
-        check_random_workload(&ops, max_entries, max_bytes, shards);
+        check_random_workload(&ops, max_entries, max_bytes);
     }
 
     #[test]

@@ -157,7 +157,7 @@ proptest! {
             whole.record(v);
         }
 
-        // Merge equivalence: recording through two shards then merging
+        // Merge equivalence: recording into two histograms then merging
         // is indistinguishable from recording everything in one.
         let cut = (split as usize) % (values.len() + 1);
         let (left, right) = values.split_at(cut);
